@@ -195,10 +195,6 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="reserved; accepted for interface stability")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="reserved; accepted for interface stability")
     p = argparse.ArgumentParser(
         prog="matbase",
         description="facets, weak-map order, and polytopal decompositions "

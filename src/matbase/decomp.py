@@ -20,7 +20,7 @@ from .errors import (ConstraintError, ContradictionError, ExchangeAxiomError,
                      GroundMismatchError, InconclusiveError, NotConnectedError,
                      NotSimpleError)
 from .setfam import LinearConstraint, bits, ksubsets
-from .matroid import matroid_from_bases
+from .matroid import _exchange_witness, matroid_from_bases
 from .facets import base_facets, is_facet_defining_base
 from .rank3 import (InclusionConstraints, check_rank3_input,
                     facet_graph_components, facet_rank2_flats)
@@ -54,11 +54,20 @@ def two_decompose(m, check=False):
     Scans all candidates with 0 < a < rank in (mask, bound) order and
     returns (hyperplane, lower piece, upper piece) for the first one whose
     closed halves are both base systems and whose strict sides are both
-    nonempty, else None.  Each half is validated by running the exchange
-    axiom on the sub-family itself.  With check=True every candidate also
-    compares that definition against the cross-section criterion, the
-    tight family alone being a nonempty base system, and raises
-    AssertionError on disagreement.
+    nonempty, else None.
+
+    A candidate is decided on its cross-section, the bases with
+    |B & A| = a.  Every edge of a base polytope is parallel to some
+    e_i - e_j (Gelfand, Goresky, MacPherson and Serganova 1987), so
+    |B & A| changes by at most one along an edge.  Hence the cross-section
+    is nonempty once both strict sides are, each closed half has exactly
+    the bases on its side as vertices, and every edge of a half is an edge
+    of B(m) or of the cross-section, its face on the hyperplane: both
+    halves are base polytopes exactly when the cross-section is one.  Only
+    the hyperplane that hits builds its halves, each exchange-checked, and
+    AssertionError is raised if they disagree with the cross-section.
+    With check=True every candidate builds and checks its halves, under
+    the same assertion.
     """
     if not m.is_connected():
         raise NotConnectedError("2-decomposition needs a connected matroid")
@@ -66,20 +75,19 @@ def two_decompose(m, check=False):
     full = ground.full_mask
     bases = list(m.bases)
     for amask in range(1, full):
-        for a in range(1, m.rank):
-            sizes = [(b & amask).bit_count() for b in bases]
-            if not (any(s < a for s in sizes) and any(s > a for s in sizes)):
+        sizes = [(b & amask).bit_count() for b in bases]
+        for a in range(max(1, min(sizes) + 1), min(m.rank, max(sizes))):
+            cross = [b for b, s in zip(bases, sizes) if s == a]
+            hit = bool(cross) and _exchange_witness(cross, frozenset(cross)) is None
+            if not (hit or check):
                 continue
             mlow = _half_matroid(ground, [b for b, s in zip(bases, sizes) if s <= a])
             mup = _half_matroid(ground, [b for b, s in zip(bases, sizes) if s >= a])
-            hit = mlow is not None and mup is not None
-            if check:
-                cross = [b for b, s in zip(bases, sizes) if s == a]
-                cross_ok = bool(cross) and _half_matroid(ground, cross) is not None
-                if cross_ok != hit:
-                    raise AssertionError(
-                        "split criteria disagree at (%s,%d): halves %s, "
-                        "cross-section %s" % (ground.show(amask), a, hit, cross_ok))
+            halves = mlow is not None and mup is not None
+            if halves != hit:
+                raise AssertionError(
+                    "split criteria disagree at (%s,%d): halves %s, "
+                    "cross-section %s" % (ground.show(amask), a, halves, hit))
             if hit:
                 return _orient_split(m, amask, a, mlow, mup)
     return None
@@ -587,7 +595,12 @@ def find_decomposition_rank3(m, max_pieces=16):
     max_pieces, leaving the verdict open.
     """
     check_rank3_input(m)
-    td = two_decompose(m)
+    return _decompose_rank3(m, max_pieces, two_decompose(m))
+
+
+def _decompose_rank3(m, max_pieces, td):
+    """find_decomposition_rank3 for a checked input, given td, the result
+    of two_decompose(m)."""
     if td is not None:
         dec = _build_decomposition(m, [td[1], td[2]])
         if dec is not None:
@@ -714,7 +727,7 @@ def classify(m, max_pieces=16):
         raise InconclusiveError(
             "non-binary, not 2-decomposable: rank-%d matroids are beyond "
             "the inclusion search" % m.rank)
-    dec = find_decomposition_rank3(m, max_pieces)
+    dec = _decompose_rank3(m, max_pieces, td)
     if dec is not None:
         return MatroidClass("d", CLASS_LABELS["d"], dec)
     inc = next(iter(iter_included_rank3(m)), None)

@@ -28,15 +28,30 @@ def matroid_to_json(m):
         json.dumps(d["ground"]), rows)
 
 
+def _is_label_list(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _label_mask(ground, value, what):
+    """Mask of a JSON list of distinct labels of the ground set."""
+    if not _is_label_list(value):
+        raise FormatError("%s must be a list of labels, got %s"
+                          % (what, json.dumps(value)))
+    if len(set(value)) != len(value):
+        raise FormatError("%s repeats a label: %s" % (what, json.dumps(value)))
+    return ground.mask(value)
+
+
 def matroid_from_dict(data):
     """Build a matroid from parsed JSON; constraint violations in the
-    base list surface as the construction errors themselves."""
+    base list surface as the construction errors themselves.  Labels are
+    strings, and every base or flat set is a list of distinct labels."""
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object")
     if "ground" not in data:
         raise FormatError("missing key 'ground'")
-    if not isinstance(data["ground"], list):
-        raise FormatError("'ground' must be a list of labels")
+    if not _is_label_list(data["ground"]):
+        raise FormatError("'ground' must be a list of string labels")
     ground = GroundSet(data["ground"])
     has_bases = "bases" in data
     has_flats = "flats" in data
@@ -45,7 +60,8 @@ def matroid_from_dict(data):
     if has_bases:
         if not isinstance(data["bases"], list):
             raise FormatError("'bases' must be a list of label lists")
-        return matroid_from_bases(ground, [ground.mask(b) for b in data["bases"]])
+        return matroid_from_bases(
+            ground, [_label_mask(ground, b, "a base") for b in data["bases"]])
     rank = data.get("rank")
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise FormatError("the 'flats' form needs an integer 'rank'")
@@ -58,7 +74,8 @@ def matroid_from_dict(data):
             raise FormatError("each flat needs keys 'set' and 'rank'")
         if not isinstance(item["rank"], int) or isinstance(item["rank"], bool):
             raise FormatError("flat rank must be an integer")
-        pairs.append((item["set"], item["rank"]))
+        pairs.append((_label_mask(ground, item["set"], "a flat set"),
+                      item["rank"]))
     return matroid_from_flat_constraints(ground, rank, pairs)
 
 

@@ -18,20 +18,37 @@ def _exchange_witness(masks, base_set):
     """First failure of the exchange axiom, or None.
 
     Returns (B1, B2, x) with x in B1 - B2 such that no y in B2 - B1 makes
-    B1 - x + y a member.
+    B1 - x + y a member: the first such B1 in masks order, then the first
+    B2, then the smallest x, as a pair loop over (B1, B2) would find it.
+
+    Works on bitsets over member indices.  has[e] holds the members
+    containing e.  For B1 and x in B1, let Y be the y outside B1 with
+    B1 - x + y a member; the exchange on x then fails for exactly the
+    members in avoid = ALL & ~has[x] & ~OR(has[y] for y in Y).
     """
+    has = {}
+    support = 0
+    for k, b in enumerate(masks):
+        support |= b
+        for e in bits(b):
+            has[e] = has.get(e, 0) | 1 << k
+    everything = (1 << len(masks)) - 1
     for b1 in masks:
-        for b2 in masks:
-            if b1 == b2:
-                continue
-            swap_in = b2 & ~b1
-            for x in bits(b1 & ~b2):
-                bx = b1 ^ (1 << x)
-                for y in bits(swap_in):
-                    if bx | (1 << y) in base_set:
-                        break
-                else:
-                    return (b1, b2, x)
+        outside = list(bits(support & ~b1))
+        avoids = []
+        failing = 0
+        for x in bits(b1):
+            bx = b1 ^ (1 << x)
+            avoid = everything & ~has[x]
+            for y in outside:
+                if bx | (1 << y) in base_set:
+                    avoid &= ~has[y]
+            avoids.append((x, avoid))
+            failing |= avoid
+        if failing:
+            low = failing & -failing
+            x = next(x for x, avoid in avoids if avoid & low)
+            return (b1, masks[low.bit_length() - 1], x)
     return None
 
 

@@ -103,19 +103,16 @@ class Rank3Profile:
 
     def dependent_triples(self):
         """Masks of the 3-subsets of the support that are dependent."""
-        cls_of = _class_lookup(self.classes)
-        out = set()
-        for t in ksubsets(self.support(), 3):
-            if _triple_dependent(t, cls_of, self.long_lines):
-                out.add(t)
-        return frozenset(out)
+        tri = _Triples(self.support())
+        return frozenset(tri.masks_of(tri.dependent(self.classes,
+                                                    self.long_lines)))
 
     def matroid(self):
         """Reconstruct the matroid; elements outside the support are loops."""
-        cls_of = _class_lookup(self.classes)
-        bases = [t for t in ksubsets(self.support(), 3)
-                 if not _triple_dependent(t, cls_of, self.long_lines)]
-        return matroid_from_bases(self.ground, bases)
+        tri = _Triples(self.support())
+        dep = tri.dependent(self.classes, self.long_lines)
+        every = (1 << len(tri.masks)) - 1
+        return matroid_from_bases(self.ground, tri.masks_of(every & ~dep))
 
     def show(self):
         cl = ",".join("{%s}" % ",".join(self.ground.labels_of(c))
@@ -133,15 +130,49 @@ def _class_lookup(classes):
     return cls_of
 
 
-def _triple_dependent(t, cls_of, lines):
-    i, j, k = bits(t)
-    ci, cj, ck = cls_of[i], cls_of[j], cls_of[k]
-    if ci == cj or ci == ck or cj == ck:
-        return True
-    for l in lines:
-        if t & ~l == 0:
-            return True
-    return False
+class _Triples:
+    """The 3-subsets of a support, indexed in ksubsets order.
+
+    A set of them is an int bitset over the indices.  dependent() gives
+    the dependent triples of a (classes, lines) state, the union of the
+    memoized bitsets of its non-singleton classes and of its lines.
+    """
+
+    def __init__(self, support):
+        self.masks = list(ksubsets(support, 3))
+        self.index = {t: k for k, t in enumerate(self.masks)}
+        self._class_memo = {}
+        self._line_memo = {}
+
+    def bitset(self, triples):
+        """Bitset of the given triple masks; others are ignored."""
+        out = 0
+        for t in triples:
+            k = self.index.get(t)
+            if k is not None:
+                out |= 1 << k
+        return out
+
+    def masks_of(self, bitset):
+        return [self.masks[k] for k in bits(bitset)]
+
+    def dependent(self, classes, lines):
+        """Triples meeting a class in two elements or inside a line."""
+        dep = 0
+        for c in classes:
+            if c & (c - 1):
+                b = self._class_memo.get(c)
+                if b is None:
+                    b = self._class_memo[c] = self.bitset(
+                        t for t in self.masks if (t & c).bit_count() >= 2)
+                dep |= b
+        for l in lines:
+            b = self._line_memo.get(l)
+            if b is None:
+                b = self._line_memo[l] = self.bitset(
+                    t for t in self.masks if t & ~l == 0)
+            dep |= b
+        return dep
 
 
 def rank3_profile(m):
@@ -214,7 +245,10 @@ class _Engine:
         self.dep_max = None if dep_max is None else frozenset(dep_max)
         self.cert1 = tuple(cert1)
         self.cert2 = tuple(cert2)
-        self.triples = list(ksubsets(support, 3))
+        self.tri = _Triples(support)
+        self.mandatory_bits = self.tri.bitset(self.mandatory)
+        self.dep_max_bits = ((1 << len(self.tri.masks)) - 1
+                             if dep_max is None else self.tri.bitset(dep_max))
         # pair -> ok to merge into one class under dep_max
         self.pair_ok = {}
         if self.dep_max is not None:
@@ -297,17 +331,18 @@ class _Engine:
         return True
 
     def _scan(self, classes, lines):
-        """(alive, uncovered mandatory triples) for a normalized state."""
-        cls_of = _class_lookup(classes)
-        uncovered = []
-        for t in self.triples:
-            dep = _triple_dependent(t, cls_of, lines)
-            if dep:
-                if self.dep_max is not None and t not in self.dep_max:
-                    return False, ()
-            elif t in self.mandatory:
-                uncovered.append(t)
-        return True, uncovered
+        """(alive, uncovered mandatory triples) for a normalized state.
+
+        The state's dependent triples are built once, as a bitset over
+        the support's triples, from its lines and non-singleton classes.
+        It is alive when they all lie in dep_max; the uncovered mandatory
+        triples come in ksubsets order over the support, which fixes the
+        branching order of run().  A dead state reports none.
+        """
+        dep = self.tri.dependent(classes, lines)
+        if dep & ~self.dep_max_bits:
+            return False, ()
+        return True, self.tri.masks_of(self.mandatory_bits & ~dep)
 
     def _children_of_triple(self, classes, lines, t, cls_of):
         i, j, k = bits(t)

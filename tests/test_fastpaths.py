@@ -1,0 +1,89 @@
+"""Bitset kernels against their definitional twins in util, on
+hypothesis-generated inputs."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from matbase.errors import ExchangeAxiomError
+from matbase.matroid import Matroid, _exchange_witness
+from matbase.rank3 import _Engine
+from matbase.setfam import ksubsets
+
+from util import exchange_witness_pairs, ground, scan_per_triple
+
+
+@st.composite
+def families(draw):
+    """Equal-size families on at most 7 elements, in any member order:
+    either sparse picks or all k-subsets but a few, where a failure, if
+    any, lies deep in the pair loop."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    subs = list(ksubsets((1 << n) - 1, k))
+    if draw(st.booleans()):
+        fam = draw(st.lists(st.sampled_from(subs), min_size=1, unique=True))
+    else:
+        drop = draw(st.sets(st.sampled_from(subs), max_size=3))
+        fam = [s for s in subs if s not in drop] or subs
+    return n, draw(st.permutations(fam))
+
+
+@given(families())
+def test_exchange_witness_matches_pair_loop(case):
+    _, fam = case
+    assert (_exchange_witness(fam, frozenset(fam))
+            == exchange_witness_pairs(fam, frozenset(fam)))
+
+
+@given(families())
+def test_exchange_error_carries_pair_loop_witness(case):
+    n, fam = case
+    g = ground(n)
+    want = exchange_witness_pairs(sorted(fam), frozenset(fam))
+    if want is None:
+        Matroid(g, fam)
+        return
+    with pytest.raises(ExchangeAxiomError) as ei:
+        Matroid(g, fam)
+    b1, b2, x = want
+    assert ei.value.witness == (g.labels_of(b1), g.labels_of(b2),
+                                g.labels[x])
+
+
+@st.composite
+def engine_states(draw):
+    """An _Engine over a random support with random mandatory triples and
+    dep_max, and a (classes, lines) state on that support: classes
+    partition the support, lines are unions of at least three classes."""
+    n = draw(st.integers(4, 8))
+    g = ground(n)
+    support = draw(st.integers(1, g.full_mask).filter(
+        lambda s: s.bit_count() >= 3))
+    triples = list(ksubsets(support, 3))
+    mandatory = draw(st.sets(st.sampled_from(triples)))
+    dep_max = draw(st.none() | st.sets(st.sampled_from(triples)).map(
+        lambda d: d | mandatory))
+    elems = [i for i in range(n) if support >> i & 1]
+    tags = draw(st.lists(st.integers(0, len(elems) - 1),
+                         min_size=len(elems), max_size=len(elems)))
+    by_tag = {}
+    for i, tag in zip(elems, tags):
+        by_tag[tag] = by_tag.get(tag, 0) | 1 << i
+    classes = sorted(by_tag.values())
+    lines = []
+    if len(classes) >= 3:
+        picks = st.sets(st.sampled_from(range(len(classes))), min_size=3)
+        for pick in draw(st.lists(picks, max_size=3)):
+            line = 0
+            for c in pick:
+                line |= classes[c]
+            lines.append(line)
+    engine = _Engine(g, support, mandatory, dep_max)
+    return engine, tuple(classes), tuple(sorted(lines))
+
+
+@given(engine_states())
+def test_scan_matches_per_triple_loop(case):
+    engine, classes, lines = case
+    assert engine._scan(classes, lines) == scan_per_triple(engine, classes,
+                                                           lines)

@@ -53,6 +53,24 @@ def test_json_format_errors():
             matroid_from_json(text)
 
 
+@pytest.mark.parametrize("text", [
+    # a repeated label is not read as one element
+    '{"ground": ["a", "b"], "bases": [["a", "a"]]}',
+    '{"ground": ["a", "b", "c"], "rank": 2,'
+    ' "flats": [{"set": ["a", "a"], "rank": 1}]}',
+    # a string is not read one character at a time
+    '{"ground": ["a", "b", "c"], "bases": ["ab", "bc"]}',
+    '{"ground": ["a", "b", "c"], "rank": 2,'
+    ' "flats": [{"set": "ab", "rank": 1}]}',
+    # labels are strings, not numbers or booleans turned into strings
+    '{"ground": [1, 2], "bases": [["1"], ["2"]]}',
+    '{"ground": [true], "bases": [["True"]]}',
+])
+def test_json_label_lists_are_strict(text):
+    with pytest.raises(FormatError):
+        matroid_from_json(text)
+
+
 def test_json_construction_errors_surface():
     with pytest.raises(MixedCardinalityError):
         matroid_from_json(
@@ -230,6 +248,14 @@ def test_cli_bad_inputs(files):
     assert ei.value.code == 2
     with pytest.raises(SystemExit):
         _run(["frobnicate"])
+
+
+def test_cli_axioms_rejects_repeated_label(tmp_path):
+    p = tmp_path / "rep.json"
+    p.write_text('{"ground": ["a", "b"], "bases": [["a", "a"]]}')
+    rc, out, err = _run(["axioms", str(p)])
+    assert rc == 2 and out == ""
+    assert "repeats a label" in err
 
 
 def test_cli_exchange_error_message(tmp_path):

@@ -33,6 +33,49 @@ def exchange_ok_brute(masks):
     return True
 
 
+def exchange_witness_pairs(masks, base_set):
+    """First (B1, B2, x) breaking the exchange axiom, or None, by the
+    pair loop over members in masks order; the twin of
+    matroid._exchange_witness."""
+    for b1 in masks:
+        for b2 in masks:
+            if b1 == b2:
+                continue
+            swap_in = b2 & ~b1
+            for x in bits(b1 & ~b2):
+                bx = b1 ^ (1 << x)
+                for y in bits(swap_in):
+                    if bx | (1 << y) in base_set:
+                        break
+                else:
+                    return (b1, b2, x)
+    return None
+
+
+def triple_dependent(t, cls_of, lines):
+    """Whether a 3-set meets a class twice or lies inside a line;
+    cls_of maps each element to its class."""
+    i, j, k = bits(t)
+    ci, cj, ck = cls_of[i], cls_of[j], cls_of[k]
+    if ci == cj or ci == ck or cj == ck:
+        return True
+    return any(t & ~l == 0 for l in lines)
+
+
+def scan_per_triple(engine, classes, lines):
+    """(alive, uncovered) of an _Engine state by testing every
+    3-subset of the support on its own; the twin of _Engine._scan."""
+    cls_of = {i: c for c in classes for i in bits(c)}
+    uncovered = []
+    for t in ksubsets(engine.support, 3):
+        if triple_dependent(t, cls_of, lines):
+            if engine.dep_max is not None and t not in engine.dep_max:
+                return False, ()
+        elif t in engine.mandatory:
+            uncovered.append(t)
+    return True, uncovered
+
+
 def try_matroid(g, masks):
     try:
         return matroid_from_bases(g, masks)
