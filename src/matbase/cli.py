@@ -220,7 +220,7 @@ def _parser():
                        help="find a polytopal decomposition")
     q.add_argument("file")
     q.add_argument("--max-pieces", type=int, default=16, metavar="N",
-                   help="cap on the piece-set search (default 16)")
+                   help="cap on the piece-set search, at least 2 (default 16)")
     q.set_defaults(func=cmd_decompose)
 
     q = sub.add_parser("order", parents=[common],

@@ -20,7 +20,7 @@ from .errors import (ConstraintError, ContradictionError, ExchangeAxiomError,
                      GroundMismatchError, InconclusiveError, NotConnectedError,
                      NotSimpleError)
 from .setfam import LinearConstraint, bits, ksubsets
-from .matroid import _exchange_witness, matroid_from_bases
+from .matroid import _exchange_witness, matroid_from_bases, merge_overlapping
 from .facets import base_facets, is_facet_defining_base
 from .rank3 import (InclusionConstraints, check_rank3_input,
                     facet_graph_components, facet_rank2_flats)
@@ -342,28 +342,7 @@ def propagate(m, c):
                     raise ContradictionError(
                         "rank-1 set %s escapes the rank-2 flat %s"
                         % (ground.show(a), ground.show(z)))
-        merged = []
-        for a in sorted(ones):
-            for i, b in enumerate(merged):
-                if a & b:
-                    merged[i] = a | b
-                    break
-            else:
-                merged.append(a)
-        while True:
-            again = []
-            for a in merged:
-                for i, b in enumerate(again):
-                    if a & b:
-                        again[i] = a | b
-                        break
-                else:
-                    again.append(a)
-            if len(again) == len(merged):
-                merged = again
-                break
-            merged = again
-        ones = set(merged)
+        ones = set(merge_overlapping(ones))
         for f in flat1:
             cls = next(a for a in ones if a & f)
             if cls != f:
@@ -592,10 +571,19 @@ def find_decomposition_rank3(m, max_pieces=16):
     families) that passes verification is returned, so the result does
     not depend on seed order.  Returns None when the search space is
     exhausted; raises InconclusiveError if a branch would exceed
-    max_pieces, leaving the verdict open.
+    max_pieces, leaving the verdict open, and ConstraintError when
+    max_pieces is below 2.
     """
+    _check_max_pieces(max_pieces)
     check_rank3_input(m)
     return _decompose_rank3(m, max_pieces, two_decompose(m))
+
+
+def _check_max_pieces(max_pieces):
+    if max_pieces < 2:
+        raise ConstraintError(
+            "a decomposition needs at least two pieces, got max_pieces=%d"
+            % max_pieces)
 
 
 def _decompose_rank3(m, max_pieces, td):
@@ -712,7 +700,9 @@ def classify(m, max_pieces=16):
     remaining kinds needs the rank-3 inclusion search, so other ranks
     raise InconclusiveError past those two tests.  Non-simple or
     disconnected input is rejected: simplify, or classify per component.
+    A max_pieces below 2 is a ConstraintError.
     """
+    _check_max_pieces(max_pieces)
     if not m.is_connected():
         raise NotConnectedError("classification needs a connected matroid")
     if m.loops() or any(c.bit_count() > 1 for c in m.parallel_classes()):

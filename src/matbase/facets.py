@@ -3,8 +3,11 @@
 A candidate inequality (A, r(A))<= is facet-defining for the base system of a
 connected matroid exactly when the face it cuts out has two connected
 components, equivalently when both the restriction to A and the contraction
-by A are connected.  Connectivity counts every loop and coloop as its own
-component, so the test is pure component counting.
+by A are connected.  The face is the tight family {B : |B & A| = r(A)},
+which is the base family of M|A direct-sum M/A over the same ground, so
+its components come from that family directly, without building either
+minor.  Connectivity counts every loop and coloop as its own component,
+so the test is pure component counting.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotConnectedError, RankError
-from .matroid import Matroid
+from .matroid import family_components
 from .setfam import ElementSet, GroundSet, bits
 
 
@@ -25,27 +28,25 @@ class FacetReport:
     """Outcome of testing one inequality (flat, rank_at_flat)<= on a base
     system.
 
-    components_on_face lists the ground partition of the face matroid
-    restrict+contract; trivial is None when the inequality is not
+    components_on_face is the ground partition into the components of the
+    face's tight family {B : |B & flat| = rank_at_flat}, the bases of
+    M|flat direct-sum M/flat; trivial is None when the inequality is not
     facet-defining for the base system.
     """
 
     flat: ElementSet
     rank_at_flat: int
-    facet_of_independence: bool
     facet_of_base: bool
     trivial: bool | None
     components_on_face: tuple
 
 
 def _face_components(m, amask):
-    """Components of B(M) cap (A, r(A))=, i.e. of M|A direct-sum M/A,
-    re-expressed as masks over the original ground."""
-    comps = []
-    for minor in (m.restrict(amask), m.contract(amask)):
-        for cmask in minor.connected_components():
-            comps.append(m.ground.mask(minor.ground.labels_of(cmask)))
-    return tuple(sorted(comps))
+    """Components of B(M) cap (A, r(A))=, i.e. of M|A direct-sum M/A, as
+    masks over the ground of m."""
+    ra = m.rank_of(amask)
+    tight = [b for b in m.bases.masks if (b & amask).bit_count() == ra]
+    return family_components(m.ground.full_mask, tight, frozenset(tight))
 
 
 def _is_trivial(m, amask):
@@ -79,7 +80,6 @@ def is_facet_defining_base(m, a):
     return FacetReport(
         flat=ElementSet(m.ground, amask),
         rank_at_flat=m.rank_of(amask),
-        facet_of_independence=is_facet_defining_ind(m, amask),
         facet_of_base=is_facet,
         trivial=_is_trivial(m, amask) if is_facet else None,
         components_on_face=comps,

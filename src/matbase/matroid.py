@@ -52,10 +52,50 @@ def _exchange_witness(masks, base_set):
     return None
 
 
+def merge_overlapping(masks):
+    """The unions of the masks linked by overlap, as a sorted list.
+
+    Two masks are linked when they share an element, and links chain.  An
+    empty mask overlaps nothing, so it comes out on its own.
+    """
+    groups = []
+    for m in masks:
+        rest = []
+        for g in groups:
+            if g & m:
+                m |= g
+            else:
+                rest.append(g)
+        rest.append(m)
+        groups = rest
+    return sorted(groups)
+
+
+def family_components(full, masks, base_set):
+    """Connectivity components over full of the matroid with bases masks.
+
+    base_set is masks as a set.  Each element outside the first member b0
+    is joined with its fundamental circuit in b0; these circuits link
+    exactly the elements that share some circuit.  Elements that meet no
+    such circuit, loops and coloops among them, stay singletons.
+    """
+    b0 = masks[0]
+    groups = [1 << i for i in bits(full)]
+    for e in bits(full & ~b0):
+        circ = 1 << e
+        be = b0 | circ
+        for x in bits(b0):
+            if be ^ (1 << x) in base_set:
+                circ |= 1 << x
+        groups.append(circ)
+    return tuple(merge_overlapping(groups))
+
+
 class Matroid:
     """A matroid stored as its family of bases (masks over a GroundSet)."""
 
-    __slots__ = ("ground", "bases", "rank", "_base_set", "_rank_memo", "_flats")
+    __slots__ = ("ground", "bases", "rank", "_base_set", "_rank_memo", "_flats",
+                 "_components")
 
     def __init__(self, ground, masks, trusted=False):
         masks = sorted({int(m) for m in masks})
@@ -72,6 +112,7 @@ class Matroid:
         self._base_set = frozenset(masks)
         self._rank_memo = {0: 0, ground.full_mask: self.rank}
         self._flats = None
+        self._components = None
         if not trusted:
             w = _exchange_witness(self.bases.masks, self._base_set)
             if w is not None:
@@ -176,35 +217,10 @@ class Matroid:
         through one fixed base suffice.  Loops and coloops come out as
         singleton components.
         """
-        n = self.ground.n
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
-        b0 = self.bases.masks[0]
-        for e in bits(self.ground.full_mask & ~b0):
-            circ = 1 << e
-            be = b0 | (1 << e)
-            for x in bits(b0):
-                if be ^ (1 << x) in self._base_set:
-                    circ |= 1 << x
-            idx = list(bits(circ))
-            for x in idx[1:]:
-                union(idx[0], x)
-        comps = {}
-        for i in range(n):
-            comps.setdefault(find(i), 0)
-            comps[find(i)] |= 1 << i
-        return tuple(sorted(comps.values()))
+        if self._components is None:
+            self._components = family_components(
+                self.ground.full_mask, self.bases.masks, self._base_set)
+        return self._components
 
     def is_connected(self):
         return len(self.connected_components()) == 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .errors import (ConstraintError, LoopError, NotConnectedError,
                      NotSimpleError, RankError)
 from .setfam import GroundSet, LinearConstraint, bits, ksubsets
-from .matroid import Matroid, matroid_from_bases
+from .matroid import matroid_from_bases, merge_overlapping
 from .facets import is_facet_defining_base
 
 
@@ -52,31 +52,17 @@ def facet_graph_components(m, a1mask, a2mask, flats2=None):
     if flats2 is None:
         flats2 = facet_rank2_flats(m)
     edges = set()
+    touching = []
     for f in flats2:
         if not (f & a1mask):
             continue
         inside = f & a2mask
+        if inside:
+            touching.append(inside)
         for pair in ksubsets(inside, 2):
             edges.add(pair)
-    # union-find over the vertex bits
-    parent = {}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in bits(a2mask):
-        parent[i] = i
-    for pair in edges:
-        i, j = bits(pair)
-        parent[find(i)] = find(j)
-    comps = {}
-    for i in bits(a2mask):
-        comps.setdefault(find(i), 0)
-        comps[find(i)] |= 1 << i
-    return sorted(comps.values()), sorted(edges)
+    comps = merge_overlapping([1 << i for i in bits(a2mask)] + touching)
+    return comps, sorted(edges)
 
 
 @dataclass(frozen=True)
@@ -420,22 +406,10 @@ def _seeded_state(ground, support, constraints, flats2, m):
     set need not be a flat of the result, and the lemmas are false for
     non-flats.
     """
-    classes = {1 << i: 1 << i for i in bits(support)}
-
-    def merge_all(mask):
-        hit = [c for c in set(classes.values()) if c & mask]
-        new = 0
-        for c in hit:
-            new |= c
-        new |= mask
-        for i in bits(new):
-            classes[1 << i] = new
-
+    groups = [1 << i for i in bits(support)] + list(constraints.forced_rank1)
     cert1 = []
     cert2 = []
     extra_mandatory = set()
-    for a in constraints.forced_rank1:
-        merge_all(a)
     for a in constraints.forced_rank2:
         for t in ksubsets(a, 3):
             extra_mandatory.add(t)
@@ -444,7 +418,7 @@ def _seeded_state(ground, support, constraints, flats2, m):
         if a & ~support:
             return None
         if c.bound == 1:
-            merge_all(a)
+            groups.append(a)
             cert1.append(a)
             if m is not None:
                 # certified rank-1 flat: each component of the facet graph
@@ -461,9 +435,9 @@ def _seeded_state(ground, support, constraints, flats2, m):
                 # certified rank-2 flat: components of the graph into a
                 # are parallel classes of the result
                 comps, _ = facet_graph_components(m, support & ~a, a, flats2)
-                for comp in comps:
-                    merge_all(comp)
-    seed = sorted(set(classes.values()))
+                groups.extend(comps)
+    # an empty forced set joins nothing and is no class
+    seed = [c for c in merge_overlapping(groups) if c]
     return seed, extra_mandatory, tuple(cert1), tuple(cert2)
 
 

@@ -296,9 +296,17 @@ def test_find_decomposition_none_and_caps():
     assert find_decomposition_rank3(get_example("nonminimal")["M"]) is None
     with pytest.raises(InconclusiveError):
         find_decomposition_rank3(get_example("seven_typed")["M"],
-                                 max_pieces=1)
+                                 max_pieces=2)
     dec = find_decomposition_rank3(get_example("2decomp")["M"])
     assert len(dec.pieces) == 2 and dec.facet_pairs == ((0, 1),)
+
+
+@pytest.mark.parametrize("cap", [1, 0, -3])
+def test_piece_cap_below_two_rejected(cap):
+    m = get_example("seven_typed")["M"]
+    for search in (find_decomposition_rank3, classify):
+        with pytest.raises(ConstraintError, match="at least two pieces"):
+            search(m, max_pieces=cap)
 
 
 def test_classify_fixtures():

@@ -1,15 +1,19 @@
-"""Bitset kernels against their definitional twins in util, on
-hypothesis-generated inputs."""
+"""Fast paths against their definitional twins in util: the bitset
+kernels and the overlap merge on hypothesis-generated inputs, the face
+components on every face of a small pool."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from matbase.census import census_rank3
 from matbase.errors import ExchangeAxiomError
-from matbase.matroid import Matroid, _exchange_witness
-from matbase.rank3 import _Engine
-from matbase.setfam import ksubsets
+from matbase.facets import is_facet_defining_base
+from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
+from matbase.rank3 import _Engine, facet_graph_components
+from matbase.setfam import bits, ksubsets
 
-from util import exchange_witness_pairs, ground, scan_per_triple
+from util import (exchange_witness_pairs, face_components_by_minors, ground,
+                  merge_by_union_find, pool_small, scan_per_triple)
 
 
 @st.composite
@@ -87,3 +91,40 @@ def test_scan_matches_per_triple_loop(case):
     engine, classes, lines = case
     assert engine._scan(classes, lines) == scan_per_triple(engine, classes,
                                                            lines)
+
+
+def test_components_on_face_match_minors():
+    # every nonempty proper A of every connected matroid on <= 6 elements
+    for m in pool_small(6):
+        if not m.is_connected():
+            continue
+        for a in range(1, m.ground.full_mask):
+            assert (is_facet_defining_base(m, a).components_on_face
+                    == face_components_by_minors(m, a))
+
+
+@given(st.lists(st.integers(0, 255)))
+def test_merge_overlapping_matches_union_find(masks):
+    assert merge_overlapping(masks) == merge_by_union_find(masks)
+
+
+CENSUS_TO_7 = [m for n in range(4, 8) for m in census_rank3(n)]
+
+
+@st.composite
+def census_probes(draw):
+    """A census class on at most 7 elements and disjoint (a1, a2)."""
+    m = draw(st.sampled_from(CENSUS_TO_7))
+    tags = draw(st.lists(st.integers(0, 2), min_size=m.ground.n,
+                         max_size=m.ground.n))
+    a1 = sum(1 << i for i, t in enumerate(tags) if t == 1)
+    a2 = sum(1 << i for i, t in enumerate(tags) if t == 2)
+    return m, a1, a2
+
+
+@given(census_probes())
+def test_facet_graph_components_are_graph_components(case):
+    m, a1, a2 = case
+    comps, edges = facet_graph_components(m, a1, a2)
+    assert all(e & ~a2 == 0 and e.bit_count() == 2 for e in edges)
+    assert comps == merge_by_union_find([1 << i for i in bits(a2)] + edges)

@@ -180,8 +180,14 @@ def test_cli_decompose(files):
     assert lines[-1] == "  facet pairs: 01"
     rc, out, _ = _run(["decompose", files["minimal"]])
     assert rc == 1
-    rc, _, err = _run(["decompose", files["seven"], "--max-pieces", "1"])
-    assert rc == 4 and "within 1 pieces" in err
+    rc, _, err = _run(["decompose", files["seven"], "--max-pieces", "2"])
+    assert rc == 4 and "within 2 pieces" in err
+
+
+def test_cli_decompose_rejects_piece_cap_below_two(files):
+    rc, out, err = _run(["decompose", files["seven"], "--max-pieces", "-3"])
+    assert rc == 2 and out == ""
+    assert "at least two pieces" in err
 
 
 def test_cli_order(files):

@@ -76,6 +76,45 @@ def scan_per_triple(engine, classes, lines):
     return True, uncovered
 
 
+def face_components_by_minors(m, amask):
+    """Components of the face (A, r(A))= of B(m) from the minors M|A and
+    M/A, mapped back to masks over the ground of m; the twin of
+    facets._face_components."""
+    comps = []
+    for minor in (m.restrict(amask), m.contract(amask)):
+        for cmask in minor.connected_components():
+            comps.append(m.ground.mask(minor.ground.labels_of(cmask)))
+    return tuple(sorted(comps))
+
+
+def merge_by_union_find(masks):
+    """Sorted unions of the masks linked by overlap, by a union-find over
+    element bits that joins every pair of elements sharing a mask; each
+    empty mask comes out as its own 0.  The twin of
+    matroid.merge_overlapping."""
+    parent = {}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    empties = 0
+    for mask in masks:
+        elems = list(bits(mask))
+        if not elems:
+            empties += 1
+        for i in elems:
+            parent.setdefault(i, i)
+        for i, j in itertools.combinations(elems, 2):
+            parent[find(i)] = find(j)
+    comps = {}
+    for i in parent:
+        comps[find(i)] = comps.get(find(i), 0) | 1 << i
+    return sorted([0] * empties + list(comps.values()))
+
+
 def try_matroid(g, masks):
     try:
         return matroid_from_bases(g, masks)
