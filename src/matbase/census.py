@@ -8,13 +8,10 @@ the census enumerates such line families with line sizes in [3, n-2],
 one representative per relabeling class, and builds the matroids.
 
 Classes are deduplicated by a canonical key: the lexicographically
-least sorted line-mask tuple over all label permutations, computed with
-one vectorized pass per family.
+least sorted line-mask tuple over all label permutations.  It is found
+by refining ordered partitions of the points, one key entry at a time,
+instead of listing the n! permutations.
 """
-
-import itertools
-
-import numpy as np
 
 from .errors import ConstraintError
 from .matroid import matroid_from_flat_constraints
@@ -24,27 +21,74 @@ from .decomp import two_decompose
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-class _Canonicalizer:
-    def __init__(self, n):
-        self.n = n
-        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-        # column p holds the weights 2^sigma_p(i); a line-row times it is
-        # the relabeled mask
-        self.weights = (np.int64(1) << perms).T
+def canonical_key(lines):
+    """The least sorted tuple of relabeled line masks over every
+    relabeling of the points.
 
-    def key(self, lines):
-        if not lines:
-            return ()
-        arr = np.array([[(mask >> i) & 1 for i in range(self.n)]
-                        for mask in lines], dtype=np.int64)
-        masks = np.sort(arr @ self.weights, axis=0)
-        cand = np.arange(masks.shape[1])
-        for r in range(masks.shape[0]):
-            vals = masks[r, cand]
-            cand = cand[vals == vals.min()]
-            if len(cand) == 1:
-                break
-        return tuple(int(x) for x in masks[:, cand[0]])
+    A state is an ordered partition of the points into cells, cell c
+    taking the labels [lo_c, lo_c + |c|), and stands for the relabelings
+    that map each cell onto its interval.  The intervals are disjoint, so
+    the least mask a line L takes under them is the sum over the cells of
+    ((1 << |L & c|) - 1) << lo_c, reached exactly when each L & c takes
+    the lowest labels of its cell: in the state refined by L, which splits
+    every cell c into c & L followed by c & ~L.  The key grows one entry
+    at a time; the beam keeps every (state, placed lines) pair that
+    reaches the least entry so far.
+    """
+    support = 0
+    for line in lines:
+        support |= line
+    # (cells, placed line bits) -> the cells' lowest labels
+    beam = {((support,), 0): (0,)}
+    key = []
+    for _ in lines:
+        best = None
+        hits = []
+        for (cells, used), los in beam.items():
+            for j, line in enumerate(lines):
+                if used >> j & 1:
+                    continue
+                val = 0
+                for c, lo in zip(cells, los):
+                    val |= ((1 << (line & c).bit_count()) - 1) << lo
+                if best is None or val < best:
+                    best = val
+                    hits = [(cells, used, j)]
+                elif val == best:
+                    hits.append((cells, used, j))
+        key.append(best)
+        beam = {}
+        for cells, used, j in hits:
+            line = lines[j]
+            refined = []
+            for c in cells:
+                if c & line:
+                    refined.append(c & line)
+                if c & ~line:
+                    refined.append(c & ~line)
+            state = (tuple(refined), used | 1 << j)
+            if state not in beam:
+                los = [0]
+                for c in refined[:-1]:
+                    los.append(los[-1] + c.bit_count())
+                beam[state] = tuple(los)
+    return tuple(key)
+
+
+def _candidate_lines(n):
+    """Every line a connected census class on n points can have: the
+    subsets of 3 to n - 2 points."""
+    full = (1 << n) - 1
+    return [mask for size in range(3, n - 1) for mask in ksubsets(full, size)]
+
+
+def _extensions(fam, candidates):
+    """The sorted families one candidate line larger than fam, with the
+    new line meeting each old one in at most one point (a line of fam
+    meets itself in at least three)."""
+    for line in candidates:
+        if all((line & old).bit_count() <= 1 for old in fam):
+            yield tuple(sorted(fam + (line,)))
 
 
 def iter_line_families(n):
@@ -52,24 +96,16 @@ def iter_line_families(n):
     ascending, starting with the empty family."""
     if not 4 <= n <= 9:
         raise ConstraintError("census supports ground sizes 4 through 9")
-    full = (1 << n) - 1
-    canon = _Canonicalizer(n)
-    candidates = [mask for size in range(3, n - 1)
-                  for mask in ksubsets(full, size)]
+    candidates = _candidate_lines(n)
     level = [()]
     yield ()
     while level:
         raw = set()
         for fam in level:
-            for line in candidates:
-                if any((line & old).bit_count() > 1 for old in fam):
-                    continue
-                if line in fam:
-                    continue
-                raw.add(tuple(sorted(fam + (line,))))
+            raw.update(_extensions(fam, candidates))
         nxt = {}
         for fam in sorted(raw):
-            key = canon.key(fam)
+            key = canonical_key(fam)
             if key not in nxt:
                 nxt[key] = fam
         level = [nxt[k] for k in sorted(nxt)]

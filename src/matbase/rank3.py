@@ -404,14 +404,16 @@ def _seeded_state(ground, support, constraints, flats2, m):
     Returns None when the constraints are contradictory on their face.
     Only certified flats feed the forcing lemmas: a merely forced rank-1
     set need not be a flat of the result, and the lemmas are false for
-    non-flats.
+    non-flats.  Elements outside the support are loops, so a forced set
+    A constrains only A & support, which has the same rank.
     """
-    groups = [1 << i for i in bits(support)] + list(constraints.forced_rank1)
+    groups = [1 << i for i in bits(support)]
+    groups += [a & support for a in constraints.forced_rank1]
     cert1 = []
     cert2 = []
     extra_mandatory = set()
     for a in constraints.forced_rank2:
-        for t in ksubsets(a, 3):
+        for t in ksubsets(a & support, 3):
             extra_mandatory.add(t)
     for c in constraints.require_facet:
         a = c.support

@@ -353,6 +353,12 @@ def test_census_counts():
         census_rank3(10)
 
 
+def test_census_count_nine():
+    # Mayhew & Royle: 383 simple rank-3 matroids on nine elements, one of
+    # them disconnected (an eight-point line plus a point)
+    assert len(census_rank3(9)) == 382
+
+
 def test_census_covers_pool():
     reps = census_rank3(6)
     pool = [m for m in pool_rank3(6, simple_only=True, connected_only=True)

@@ -1,11 +1,13 @@
 """Fast paths against their definitional twins in util: the bitset
-kernels and the overlap merge on hypothesis-generated inputs, the face
-components on every face of a small pool."""
+kernels, the overlap merge and the census key on hypothesis-generated
+inputs, the face components on every face of a small pool, the census
+key on every family the census enumeration meets up to seven points."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from matbase.census import census_rank3
+from matbase.census import (_candidate_lines, _extensions, canonical_key,
+                            census_rank3, iter_line_families)
 from matbase.errors import ExchangeAxiomError
 from matbase.facets import is_facet_defining_base
 from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
@@ -13,7 +15,8 @@ from matbase.rank3 import _Engine, facet_graph_components
 from matbase.setfam import bits, ksubsets
 
 from util import (exchange_witness_pairs, face_components_by_minors, ground,
-                  merge_by_union_find, pool_small, scan_per_triple)
+                  line_key_by_permutations, merge_by_union_find, pool_small,
+                  relabel_mask, scan_per_triple)
 
 
 @st.composite
@@ -128,3 +131,37 @@ def test_facet_graph_components_are_graph_components(case):
     comps, edges = facet_graph_components(m, a1, a2)
     assert all(e & ~a2 == 0 and e.bit_count() == 2 for e in edges)
     assert comps == merge_by_union_find([1 << i for i in bits(a2)] + edges)
+
+
+@st.composite
+def line_families(draw):
+    """Line families on at most 7 points, in any order: lines of 3 to
+    n - 2 points pairwise meeting in at most one point."""
+    n = draw(st.integers(4, 7))
+    candidates = _candidate_lines(n)
+    fam = []
+    if candidates:
+        for line in draw(st.lists(st.sampled_from(candidates), unique=True)):
+            if all((line & old).bit_count() <= 1 for old in fam):
+                fam.append(line)
+    return n, fam
+
+
+@given(line_families(), st.randoms(use_true_random=False))
+def test_canonical_key_matches_permutations(case, rng):
+    n, fam = case
+    key = canonical_key(fam)
+    assert key == line_key_by_permutations(n, fam)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert canonical_key([relabel_mask(line, perm) for line in fam]) == key
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_canonical_key_on_census_families(n):
+    # every raw family of the level-by-level enumeration: the extensions
+    # of each representative by one candidate line
+    candidates = _candidate_lines(n)
+    for fam in iter_line_families(n):
+        for raw in _extensions(fam, candidates):
+            assert canonical_key(raw) == line_key_by_permutations(n, raw)

@@ -3,9 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import matbase
 from matbase.cli import main
 from matbase.errors import (ExchangeAxiomError, FormatError,
                             MixedCardinalityError)
@@ -271,3 +275,15 @@ def test_cli_exchange_error_message(tmp_path):
     rc, out, _ = _run(["axioms", str(p)])
     assert rc == 1
     assert out == "exchange fails: ab, cd cannot trade a\n"
+
+
+def test_import_loads_no_numpy():
+    # every CLI call pays for the package import; numpy is a test-only
+    # dependency
+    src = os.path.dirname(os.path.dirname(matbase.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, matbase; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -13,7 +13,8 @@ from matbase.matroid import (matroid_from_bases, matroid_from_flat_constraints,
 from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
                            iter_included_rank3, no_strict_intermediate_rank3,
                            weak_leq)
-from matbase.rank3 import InclusionConstraints, rank3_profile
+from matbase.rank3 import (InclusionConstraints, rank3_profile,
+                           search_profiles)
 from matbase.setfam import LinearConstraint, ksubsets
 
 from util import exchange_ok_brute, ground, pool_rank3, pool_small
@@ -196,3 +197,28 @@ def test_cover_relation_errors_and_edge_cases():
     assert no_strict_intermediate_rank3(one_line, u)
     # but not m2, which sits two lines down
     assert not no_strict_intermediate_rank3(m2, u)
+
+
+def test_search_profiles_keeps_unsupported_elements_loops():
+    # a forced set reaching outside the support constrains only its part
+    # inside: a stays a loop instead of joining b in a parallel class
+    m = get_example("seven_typed")["M"]
+    g = m.ground
+    a = g.mask("a")
+    support = g.full_mask & ~a
+    found = list(search_profiles(
+        m, InclusionConstraints.of(g, forced_rank1=["ab"]), mandatory=(),
+        support=support, connected_only=False))
+    assert found
+    for profile, mat in found:
+        assert profile.support() & a == 0
+        assert mat.rank_of(a) == 0
+    # a forced rank-2 set adds no mandatory triple through a, so a bound
+    # on the dependent triples of the support alone leaves the search as
+    # it is without the bound
+    keys = [
+        [profile.key() for profile, _ in search_profiles(
+            m, InclusionConstraints.of(g, forced_rank2=["abcd"]), mandatory=(),
+            dep_max=bound, support=support, connected_only=False)]
+        for bound in (None, ksubsets(support, 3))]
+    assert keys[0] and keys[0] == keys[1]

@@ -115,6 +115,19 @@ def merge_by_union_find(masks):
     return sorted([0] * empties + list(comps.values()))
 
 
+def relabel_mask(mask, perm):
+    """The mask with each element i moved to perm[i]."""
+    return sum(1 << perm[i] for i in bits(mask))
+
+
+def line_key_by_permutations(n, lines):
+    """The least sorted tuple of relabeled line masks over all n!
+    permutations of the points.  The twin of census.canonical_key."""
+    points = [list(bits(mask)) for mask in lines]
+    return min(tuple(sorted(sum(weight[i] for i in line) for line in points))
+               for weight in itertools.permutations([1 << i for i in range(n)]))
+
+
 def try_matroid(g, masks):
     try:
         return matroid_from_bases(g, masks)
