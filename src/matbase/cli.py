@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: axioms, facets, classify, decompose, order, census,
-verify, fmt.  Output is plain text by default, JSON with --json; the
-exit code carries the verdict: 0 yes/pass, 1 no/fail, 2 bad input,
-4 search hit its cap without a verdict.
+verify, fmt.  Output is plain text by default, JSON with --json (fmt
+always writes JSON and takes no --json); the exit code carries the
+verdict: 0 yes/pass, 1 no/fail, 2 bad input, 4 search hit its cap
+without a verdict.
 """
 
 import argparse
@@ -248,8 +249,7 @@ def _parser():
     q.add_argument("id", choices=SUITE_IDS + ("all",))
     q.set_defaults(func=cmd_verify)
 
-    q = sub.add_parser("fmt", parents=[common],
-                       help="rewrite a matroid file in canonical form")
+    q = sub.add_parser("fmt", help="rewrite a matroid file in canonical form")
     q.add_argument("file")
     q.set_defaults(func=cmd_fmt)
     return p

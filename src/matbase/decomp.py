@@ -21,10 +21,10 @@ from .errors import (ConstraintError, ContradictionError, ExchangeAxiomError,
                      NotSimpleError)
 from .setfam import LinearConstraint, bits, ksubsets
 from .matroid import _exchange_witness, matroid_from_bases, merge_overlapping
-from .facets import base_facets, is_facet_defining_base
-from .rank3 import (InclusionConstraints, check_rank3_input,
+from .facets import base_facets, is_facet_inequality
+from .rank3 import (InclusionConstraints, Rank3Profile, check_rank3_input,
                     facet_graph_components, facet_rank2_flats)
-from .order import enumerate_included_rank3, iter_included_rank3
+from .order import _included_profiles, enumerate_included_rank3
 
 
 # --------------------------------------------------------------- 2-splits
@@ -477,16 +477,9 @@ def _reversed_facet_face(piece, bases, fmask, bound):
     facet-defining for it, else None."""
     full = piece.ground.full_mask
     comp = full & ~fmask
-    if piece.rank_of(comp) != piece.rank - bound:
-        return None
-    if not is_facet_defining_base(piece, comp).facet_of_base:
+    if not is_facet_inequality(piece, comp, piece.rank - bound):
         return None
     return frozenset(b for b in bases if (b & fmask).bit_count() == bound)
-
-
-def _is_original_facet(m, fmask, bound):
-    return (m.rank_of(fmask) == bound
-            and is_facet_defining_base(m, fmask).facet_of_base)
 
 
 def verify_decomposition(m, pieces):
@@ -531,7 +524,7 @@ def verify_decomposition(m, pieces):
     for i, p in enumerate(pieces):
         for rep in base_facets(p):
             fmask, bound = rep.flat.mask, rep.rank_at_flat
-            if _is_original_facet(m, fmask, bound):
+            if is_facet_inequality(m, fmask, bound):
                 continue
             tight = frozenset(b for b in fams[i]
                               if (b & fmask).bit_count() == bound)
@@ -576,7 +569,12 @@ def find_decomposition_rank3(m, max_pieces=16):
     """
     _check_max_pieces(max_pieces)
     check_rank3_input(m)
-    return _decompose_rank3(m, max_pieces, two_decompose(m))
+    td = two_decompose(m)
+    if td is not None:
+        dec = _build_decomposition(m, [td[1], td[2]])
+        if dec is not None:
+            return dec
+    return _decompose_rank3(m, max_pieces, enumerate_included_rank3(m))
 
 
 def _check_max_pieces(max_pieces):
@@ -586,14 +584,9 @@ def _check_max_pieces(max_pieces):
             % max_pieces)
 
 
-def _decompose_rank3(m, max_pieces, td):
-    """find_decomposition_rank3 for a checked input, given td, the result
-    of two_decompose(m)."""
-    if td is not None:
-        dec = _build_decomposition(m, [td[1], td[2]])
-        if dec is not None:
-            return dec
-    pool = enumerate_included_rank3(m)
+def _decompose_rank3(m, max_pieces, pool):
+    """The piece-set search of find_decomposition_rank3 for a checked
+    input, given pool, the list enumerate_included_rank3(m)."""
     if not pool:
         return None
     fams = [frozenset(p.bases) for p in pool]
@@ -602,7 +595,7 @@ def _decompose_rank3(m, max_pieces, td):
         lst = []
         for rep in base_facets(p):
             fmask, bound = rep.flat.mask, rep.rank_at_flat
-            if _is_original_facet(m, fmask, bound):
+            if is_facet_inequality(m, fmask, bound):
                 continue
             tight = frozenset(b for b in fam
                               if (b & fmask).bit_count() == bound)
@@ -717,10 +710,14 @@ def classify(m, max_pieces=16):
         raise InconclusiveError(
             "non-binary, not 2-decomposable: rank-%d matroids are beyond "
             "the inclusion search" % m.rank)
-    dec = _decompose_rank3(m, max_pieces, td)
+    # one search: the pool is its profiles sorted, the (c) witness the
+    # first one found
+    found = list(_included_profiles(m, None))
+    mats = {p: p.matroid() for p in found}
+    pool = [mats[p] for p in sorted(found, key=Rank3Profile.key)]
+    dec = _decompose_rank3(m, max_pieces, pool)
     if dec is not None:
         return MatroidClass("d", CLASS_LABELS["d"], dec)
-    inc = next(iter(iter_included_rank3(m)), None)
-    if inc is not None:
-        return MatroidClass("c", CLASS_LABELS["c"], inc)
+    if found:
+        return MatroidClass("c", CLASS_LABELS["c"], mats[found[0]])
     return MatroidClass("b", CLASS_LABELS["b"])

@@ -86,6 +86,13 @@ def is_facet_defining_base(m, a):
     )
 
 
+def is_facet_inequality(m, amask, bound):
+    """Whether (A, bound)<= is facet-defining for B(m): bound is r(A) and
+    the face it cuts is a facet.  For the whole system: an original facet."""
+    return (m.rank_of(amask) == bound
+            and is_facet_defining_base(m, amask).facet_of_base)
+
+
 def base_facets(m):
     """All facet-defining inequalities of the base system, in mask order.
 

@@ -34,33 +34,34 @@ def weak_leq(m2, m1, check=False):
     return included
 
 
-def _dependent_triples(m, support=None):
-    if support is None:
-        support = m.ground.full_mask
-    return frozenset(t for t in ksubsets(support, 3) if t not in m.bases)
+def _dependent_triples(m):
+    return frozenset(t for t in ksubsets(m.ground.full_mask, 3)
+                     if t not in m.bases)
+
+
+def _included_profiles(m, constraints):
+    """Profiles of the connected matroids properly included in B(m) that
+    meet the constraints, in search order."""
+    check_rank3_input(m)
+    own = rank3_profile(m)
+    for profile in search_profiles(m, constraints,
+                                   mandatory=_dependent_triples(m)):
+        if profile != own:
+            yield profile
 
 
 def iter_included_rank3(m, constraints=None):
     """Lazily yield the connected matroids M' with B(M') properly inside
     B(m) that satisfy the given constraints, in search order."""
-    check_rank3_input(m)
-    own = rank3_profile(m)
-    for _, mat in search_profiles(
-            m, constraints, mandatory=_dependent_triples(m),
-            connected_only=True, exclude_keys=(own.key(),)):
-        yield mat
+    for profile in _included_profiles(m, constraints):
+        yield profile.matroid()
 
 
 def enumerate_included_rank3(m, constraints=None):
     """All properly included connected matroids, canonically ordered by
     profile (sorted classes, then sorted lines)."""
-    check_rank3_input(m)
-    own = rank3_profile(m)
-    found = list(search_profiles(
-        m, constraints, mandatory=_dependent_triples(m),
-        connected_only=True, exclude_keys=(own.key(),)))
-    found.sort(key=lambda pm: pm[0].key())
-    return [mat for _, mat in found]
+    found = sorted(_included_profiles(m, constraints), key=Rank3Profile.key)
+    return [profile.matroid() for profile in found]
 
 
 def is_weak_minimal_rank3(m, check=False):
@@ -102,7 +103,7 @@ def no_strict_intermediate_rank3(m_low, m_high):
         mandatory = frozenset(t for t in dep_high if not t & lset)
         dep_max = frozenset(t for t in dep_low if not t & lset)
         looped = frozenset(t for t in ksubsets(full, 3) if t & lset)
-        for profile, _ in search_profiles(
+        for profile in search_profiles(
                 m_high, None, mandatory=mandatory, dep_max=dep_max,
                 support=support, connected_only=False):
             dep_full = profile.dependent_triples() | looped

@@ -14,7 +14,7 @@ from .errors import (ConstraintError, LoopError, NotConnectedError,
                      NotSimpleError, RankError)
 from .setfam import GroundSet, LinearConstraint, bits, ksubsets
 from .matroid import matroid_from_bases, merge_overlapping
-from .facets import is_facet_defining_base
+from .facets import is_facet_defining_base, is_facet_inequality
 
 
 def check_rank3_input(m, require_simple=True, require_connected=True):
@@ -67,11 +67,13 @@ def facet_graph_components(m, a1mask, a2mask, flats2=None):
 
 @dataclass(frozen=True)
 class Rank3Profile:
-    """Parallel classes plus long lines of a loopless rank-3 matroid.
+    """Parallel classes plus long lines of a rank-3 matroid.
 
     classes partition the support; long_lines are the rank-2 flats
     spanning >= 3 classes, pairwise sharing at most one class.  Every
-    unlisted pair of classes spans a line of its own.
+    unlisted pair of classes spans a line of its own, and elements
+    outside the support are loops.  Connectivity is read off the profile
+    by is_connected(); matroid() builds the matroid itself.
     """
 
     ground: GroundSet
@@ -86,6 +88,20 @@ class Rank3Profile:
         for c in self.classes:
             mask |= c
         return mask
+
+    def is_connected(self):
+        """Whether the matroid of this profile is connected.
+
+        A loop is a separator of its own, so the support must be the
+        whole ground.  A separator A of a loopless rank-3 matroid has
+        r(A) + r(E-A) = 3 and neither side has rank 0, so one side is a
+        parallel class C and E-C has rank 2: either only two classes are
+        left, or E-C is a long line (Oxley, Matroid Theory, ch. 4).
+        """
+        support = self.support()
+        if support != self.ground.full_mask or len(self.classes) == 3:
+            return False
+        return all(support & ~c not in self.long_lines for c in self.classes)
 
     def dependent_triples(self):
         """Masks of the 3-subsets of the support that are dependent."""
@@ -398,7 +414,7 @@ class _Engine:
                     stack.append(state)
 
 
-def _seeded_state(ground, support, constraints, flats2, m):
+def _seeded_state(m, support, constraints, flats2):
     """Initial partition, extra mandatory triples, and cert masks.
 
     Returns None when the constraints are contradictory on their face.
@@ -422,46 +438,49 @@ def _seeded_state(ground, support, constraints, flats2, m):
         if c.bound == 1:
             groups.append(a)
             cert1.append(a)
-            if m is not None:
-                # certified rank-1 flat: each component of the facet graph
-                # from a into the rest collapses with a to rank <= 2
-                comps, _ = facet_graph_components(m, a, support & ~a, flats2)
-                for comp in comps:
-                    for t in ksubsets(a | comp, 3):
-                        extra_mandatory.add(t)
+            # certified rank-1 flat: each component of the facet graph
+            # from a into the rest collapses with a to rank <= 2
+            comps, _ = facet_graph_components(m, a, support & ~a, flats2)
+            for comp in comps:
+                for t in ksubsets(a | comp, 3):
+                    extra_mandatory.add(t)
         else:
             cert2.append(a)
             for t in ksubsets(a, 3):
                 extra_mandatory.add(t)
-            if m is not None:
-                # certified rank-2 flat: components of the graph into a
-                # are parallel classes of the result
-                comps, _ = facet_graph_components(m, support & ~a, a, flats2)
-                groups.extend(comps)
+            # certified rank-2 flat: components of the graph into a
+            # are parallel classes of the result
+            comps, _ = facet_graph_components(m, support & ~a, a, flats2)
+            groups.extend(comps)
     # an empty forced set joins nothing and is no class
     seed = [c for c in merge_overlapping(groups) if c]
     return seed, extra_mandatory, tuple(cert1), tuple(cert2)
 
 
 def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
-                    support=None, connected_only=True, exclude_keys=(),
-                    original=None):
-    """Yield Rank3Profile states meeting all constraints, search order.
+                    support=None, connected_only=True):
+    """Yield the Rank3Profile of every included matroid the engine
+    reaches that meets all constraints, in search order.
 
     mandatory: triples that must be dependent; dep_max: triples allowed
-    to be dependent (None for no bound); exclude_keys: profile keys to
-    suppress; original: the matroid against which require_facet entries
-    must be non-original (defaults to m).
+    to be dependent (None for no bound); support: the non-loops (default
+    the whole ground).  With connected_only, profiles whose matroid is
+    disconnected are dropped by Rank3Profile.is_connected.  A matroid is
+    built only for a profile that forbidden or require_facet entries
+    have to inspect.  A require_facet inequality must be facet-defining
+    for the result and not for m; if it is one for m, nothing is yielded
+    and the engine does not run.
     """
     ground = m.ground
     if support is None:
         support = ground.full_mask
     if constraints is None:
         constraints = InclusionConstraints()
-    if original is None:
-        original = m
-    flats2 = facet_rank2_flats(original) if constraints.require_facet else None
-    seeded = _seeded_state(ground, support, constraints, flats2, original)
+    if any(is_facet_inequality(m, c.support, c.bound)
+           for c in constraints.require_facet):
+        return
+    flats2 = facet_rank2_flats(m) if constraints.require_facet else None
+    seeded = _seeded_state(m, support, constraints, flats2)
     if seeded is None:
         return
     seed, extra_mandatory, cert1, cert2 = seeded
@@ -471,34 +490,23 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
         if any(t not in dep_max for t in mandatory):
             return
     engine = _Engine(ground, support, mandatory, dep_max, cert1, cert2)
-    exclude = set(exclude_keys)
     for classes, lines in engine.run(seed, ()):
-        if (classes, lines) in exclude:
-            continue
         profile = Rank3Profile(ground, classes, lines)
-        mat = profile.matroid()
-        if connected_only and not mat.is_connected():
+        if connected_only and not profile.is_connected():
             continue
-        if not _finalize_ok(mat, profile, constraints, original):
-            continue
-        yield profile, mat
+        if _finalize_ok(profile, constraints):
+            yield profile
 
 
-def _finalize_ok(mat, profile, constraints, original):
+def _finalize_ok(profile, constraints):
+    if not (constraints.forbidden or constraints.require_facet):
+        return True
+    mat = profile.matroid()
     for c in constraints.forbidden:
         if all(c.satisfied(b) for b in mat.bases):
             return False
     for c in constraints.require_facet:
-        a = c.support
-        if mat.rank_of(a) != c.bound:
-            return False
-        if not mat.is_flat(a):
-            return False
-        if not is_facet_defining_base(mat, a).facet_of_base:
-            return False
-        # non-original: the same inequality must not cut a facet of the
-        # original base system
-        if (original.rank_of(a) == c.bound
-                and is_facet_defining_base(original, a).facet_of_base):
+        if not (mat.is_flat(c.support)
+                and is_facet_inequality(mat, c.support, c.bound)):
             return False
     return True

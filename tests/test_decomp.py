@@ -16,11 +16,12 @@ from matbase.errors import (ConstraintError, ContradictionError,
 from matbase.examples import get_example
 from matbase.matroid import (are_isomorphic, matroid_from_flat_constraints,
                              uniform_matroid)
+from matbase.order import enumerate_included_rank3, iter_included_rank3
 from matbase.rank3 import InclusionConstraints, facet_rank2_flats
 from matbase.setfam import bits, ksubsets, submasks
 
-from util import (exchange_ok_brute, ground, pool_rank3, set_partitions_3,
-                  try_matroid)
+from util import (count_searches, exchange_ok_brute, ground, pool_rank3,
+                  set_partitions_3, try_matroid)
 
 
 def test_two_decompose_fixture():
@@ -406,3 +407,17 @@ def test_census_neither_filter():
         frozenset(frozenset(w) for w in ("abc", "ade", "bdf", "cefg")),
         frozenset(frozenset(w) for w in ("abc", "ade", "bdf", "cdg", "efg"))}
     assert {line_sets(m) for m in n7} == want
+
+
+def test_classify_searches_once(monkeypatch):
+    minimal = get_example("minimal")["M"]
+    nonminimal = get_example("nonminimal")["M"]
+    pool = enumerate_included_rank3(nonminimal)
+    first = next(iter_included_rank3(nonminimal))
+    counts = count_searches(monkeypatch)
+    assert classify(minimal).kind == "b"
+    assert counts["runs"] == 1 and counts["builds"] == 0
+    counts.clear()
+    mc = classify(nonminimal)
+    assert mc.kind == "c" and mc.witness == first
+    assert counts["runs"] == 1 and counts["builds"] <= len(pool) + 1

@@ -1,7 +1,8 @@
 """Fast paths against their definitional twins in util: the bitset
 kernels, the overlap merge and the census key on hypothesis-generated
 inputs, the face components on every face of a small pool, the census
-key on every family the census enumeration meets up to seven points."""
+key on every family the census enumeration meets up to seven points,
+and the profile connectivity rule on every state of small searches."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,9 +10,10 @@ from hypothesis import given, strategies as st
 from matbase.census import (_candidate_lines, _extensions, canonical_key,
                             census_rank3, iter_line_families)
 from matbase.errors import ExchangeAxiomError
+from matbase.examples import get_example
 from matbase.facets import is_facet_defining_base
 from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
-from matbase.rank3 import _Engine, facet_graph_components
+from matbase.rank3 import _Engine, facet_graph_components, search_profiles
 from matbase.setfam import bits, ksubsets
 
 from util import (exchange_witness_pairs, face_components_by_minors, ground,
@@ -165,3 +167,23 @@ def test_canonical_key_on_census_families(n):
     for fam in iter_line_families(n):
         for raw in _extensions(fam, candidates):
             assert canonical_key(raw) == line_key_by_permutations(n, raw)
+
+
+def test_profile_connectivity_matches_matroid():
+    # every profile the search yields, connected or not, on the census
+    # classes up to six points and seven_typed, with the whole ground as
+    # support and with one element made a loop
+    seen = disconnected = 0
+    for m in ([m for n in range(4, 7) for m in census_rank3(n)]
+              + [get_example("seven_typed")["M"]]):
+        full = m.ground.full_mask
+        for support in (full, full & ~1):
+            mandatory = [t for t in ksubsets(support, 3) if t not in m.bases]
+            for profile in search_profiles(m, mandatory=mandatory,
+                                           support=support,
+                                           connected_only=False):
+                connected = profile.is_connected()
+                assert connected == profile.matroid().is_connected()
+                seen += 1
+                disconnected += not connected
+    assert 0 < disconnected < seen

@@ -248,6 +248,26 @@ def test_cli_fmt(files):
     assert out2 == out
 
 
+def test_cli_fmt_has_no_json_option(files):
+    # fmt always writes JSON, so it takes no --json switch
+    with pytest.raises(SystemExit) as ei:
+        _run(["fmt", "--json", files["m2"]])
+    assert ei.value.code == 2
+    rc, out, _ = _run(["fmt", files["m2"]])
+    assert rc == 0 and out == matroid_to_json(get_example("m2")["M"])
+
+
+def test_cli_verify_all_matches_golden():
+    # the bundled fixtures re-derived end to end; the golden file changes
+    # only with a stated reason
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "verify_all.txt")
+    with open(golden) as fh:
+        want = fh.read()
+    rc, out, _ = _run(["verify", "all"])
+    assert rc == 0 and out == want
+
+
 def test_cli_bad_inputs(files):
     rc, _, err = _run(["fmt", files["nj"]])
     assert rc == 2 and "invalid JSON" in err

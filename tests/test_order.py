@@ -13,11 +13,12 @@ from matbase.matroid import (matroid_from_bases, matroid_from_flat_constraints,
 from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
                            iter_included_rank3, no_strict_intermediate_rank3,
                            weak_leq)
-from matbase.rank3 import (InclusionConstraints, rank3_profile,
-                           search_profiles)
+from matbase.rank3 import (InclusionConstraints, facet_rank2_flats,
+                           rank3_profile, search_profiles)
 from matbase.setfam import LinearConstraint, ksubsets
 
-from util import exchange_ok_brute, ground, pool_rank3, pool_small
+from util import (count_searches, exchange_ok_brute, ground, pool_rank3,
+                  pool_small)
 
 
 def test_weak_leq_basics():
@@ -210,15 +211,32 @@ def test_search_profiles_keeps_unsupported_elements_loops():
         m, InclusionConstraints.of(g, forced_rank1=["ab"]), mandatory=(),
         support=support, connected_only=False))
     assert found
-    for profile, mat in found:
+    for profile in found:
         assert profile.support() & a == 0
-        assert mat.rank_of(a) == 0
+        assert profile.matroid().rank_of(a) == 0
     # a forced rank-2 set adds no mandatory triple through a, so a bound
     # on the dependent triples of the support alone leaves the search as
     # it is without the bound
     keys = [
-        [profile.key() for profile, _ in search_profiles(
+        [profile.key() for profile in search_profiles(
             m, InclusionConstraints.of(g, forced_rank2=["abcd"]), mandatory=(),
             dep_max=bound, support=support, connected_only=False)]
         for bound in (None, ksubsets(support, 3))]
     assert keys[0] and keys[0] == keys[1]
+
+
+def test_required_original_facet_skips_the_engine(monkeypatch):
+    # a required facet of m itself can be a facet of no included system,
+    # so nothing is returned and the engine never runs
+    m = get_example("seven_typed")["M"]
+    g = m.ground
+    counts = count_searches(monkeypatch)
+    for f in facet_rank2_flats(m):
+        cons = InclusionConstraints.of(
+            g, require_facet=["{%s}<=2" % ",".join(g.labels_of(f))])
+        assert enumerate_included_rank3(m, cons) == []
+    assert counts["runs"] == 0
+    # a required facet that m lacks still runs the search
+    cons = InclusionConstraints.of(g, require_facet=["{b,d}<=1"])
+    assert enumerate_included_rank3(m, cons)
+    assert counts["runs"] == 1

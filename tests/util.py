@@ -2,11 +2,14 @@
 
 Everything here recomputes answers from definitions, independently of
 the library's own algorithms, so tests can compare the two.
+count_searches counts the rank-3 engine runs and matroid builds.
 """
 
 import itertools
 import random
+from collections import Counter
 
+from matbase import rank3
 from matbase.census import census_rank3
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
@@ -255,3 +258,21 @@ def set_partitions_3(items):
             block_c = [tail[i] for i in range(len(tail)) if not bsel >> i & 1]
             if block_c:
                 yield block_a, block_b, block_c
+
+
+def count_searches(monkeypatch):
+    """Count engine runs and profile matroid builds from now on."""
+    counts = Counter()
+    run, build = rank3._Engine.run, rank3.Rank3Profile.matroid
+
+    def counted_run(self, *args):
+        counts["runs"] += 1
+        return run(self, *args)
+
+    def counted_build(self):
+        counts["builds"] += 1
+        return build(self)
+
+    monkeypatch.setattr(rank3._Engine, "run", counted_run)
+    monkeypatch.setattr(rank3.Rank3Profile, "matroid", counted_build)
+    return counts
