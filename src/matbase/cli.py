@@ -17,8 +17,7 @@ from .errors import (EmptyFamilyError, ExchangeAxiomError, InconclusiveError,
                      MatbaseError, MixedCardinalityError)
 from .facets import base_facets
 from .io import load_matroid, matroid_to_dict, matroid_to_json
-from .order import (is_weak_minimal_rank3, iter_included_rank3,
-                    no_strict_intermediate_rank3, weak_leq)
+from .order import _first_included, no_strict_intermediate_rank3, weak_leq
 from .rank3 import facet_rank2_flats
 from .verify import SUITE_IDS, run_all, run_example
 
@@ -134,12 +133,12 @@ def cmd_order(args):
                   "of the second" % missing)
     elif args.minimal is not None:
         m = load_matroid(args.minimal)
-        res = is_weak_minimal_rank3(m)
+        inc = _first_included(m)
+        res = inc is None
         if res:
             detail = ("no connected simple rank-3 base system lies "
                       "strictly inside")
         else:
-            inc = next(iter(iter_included_rank3(m)), None)
             detail = ("an included base system with %d bases exists"
                       % len(inc.bases))
     else:

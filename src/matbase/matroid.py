@@ -415,7 +415,7 @@ def matroid_from_bases(ground, bases):
     return Matroid(ground, [ground.mask(b) for b in bases])
 
 
-def matroid_from_flat_constraints(ground, rank, flats, trusted=False):
+def matroid_from_flat_constraints(ground, rank, flats):
     """Matroid cut out by rank bounds on prescribed sets.
 
     flats is an iterable of (elements, bound) pairs; the base family is all
@@ -427,4 +427,4 @@ def matroid_from_flat_constraints(ground, rank, flats, trusted=False):
     fam = family_from_constraints(ground, cons)
     if not fam.masks:
         raise EmptyFamilyError("the rank bounds leave no base")
-    return Matroid(ground, fam.masks, trusted=trusted)
+    return Matroid(ground, fam.masks)

@@ -64,18 +64,25 @@ def enumerate_included_rank3(m, constraints=None):
     return [profile.matroid() for profile in found]
 
 
+def _first_included(m):
+    """The first matroid iter_included_rank3(m) yields, or None.  A
+    binary m includes none, and is answered without a search."""
+    check_rank3_input(m)
+    if m.is_binary():
+        return None
+    return next(iter_included_rank3(m), None)
+
+
 def is_weak_minimal_rank3(m, check=False):
     """No connected matroid base system sits properly inside B(m).
 
     Binary matroids short-circuit to True; check=True runs the enumerator
     anyway and asserts agreement.
     """
-    check_rank3_input(m)
-    if m.is_binary():
-        if check:
-            assert next(iter_included_rank3(m), None) is None
-        return True
-    return next(iter_included_rank3(m), None) is None
+    minimal = _first_included(m) is None
+    if check:
+        assert minimal == (next(iter_included_rank3(m), None) is None)
+    return minimal
 
 
 def no_strict_intermediate_rank3(m_low, m_high):

@@ -8,7 +8,8 @@ raw base families is what keeps exhaustive inclusion questions tractable
 at |E| = 11.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from .errors import (ConstraintError, LoopError, NotConnectedError,
                      NotSimpleError, RankError)
@@ -17,13 +18,13 @@ from .matroid import matroid_from_bases, merge_overlapping
 from .facets import is_facet_defining_base, is_facet_inequality
 
 
-def check_rank3_input(m, require_simple=True, require_connected=True):
+def check_rank3_input(m, require_simple=True):
     """Entry gate for the rank-3 machinery: typed errors over silence."""
     if len(m.ground) < 4 or not 1 <= m.rank <= len(m.ground) - 1:
         raise RankError("rank-3 machinery needs |E| >= 4 and a proper rank")
     if m.rank != 3:
         raise RankError("expected rank 3, got %d" % m.rank)
-    if require_connected and not m.is_connected():
+    if not m.is_connected():
         raise NotConnectedError("input must be connected")
     if require_simple and (m.loops() or any(
             c.bit_count() > 1 for c in m.parallel_classes())):
@@ -122,14 +123,6 @@ class Rank3Profile:
         ln = ",".join("{%s}" % ",".join(self.ground.labels_of(l))
                       for l in self.long_lines)
         return "classes %s lines %s" % (cl, ln or "-")
-
-
-def _class_lookup(classes):
-    cls_of = {}
-    for c in classes:
-        for i in bits(c):
-            cls_of[i] = c
-    return cls_of
 
 
 class _Triples:
@@ -231,47 +224,31 @@ class InclusionConstraints:
 class _Engine:
     """Backtracking over (classes, lines) states.
 
-    Cover phase makes every mandatory triple dependent, branching per
-    uncovered triple over its three class merges and its line; grow phase
-    then adds further merges and lines.  States normalize by absorbing
-    classes into touching lines, dropping lines down to <= 2 classes, and
-    merging lines that share >= 2 classes.  Dependencies only grow along
-    any move, so upper-bound violations prune permanently.
+    Every move comes from _moves, over a sorted group of the state's
+    classes: merge two of them, or add a line through three that no line
+    holds yet.  Cover phase makes every mandatory triple dependent,
+    branching on the uncovered triple whose group (the classes it meets)
+    has the fewest moves; grow phase then takes every move over all
+    classes.  States normalize by absorbing classes into touching lines,
+    dropping lines down to <= 2 classes, and merging lines that share
+    >= 2 classes.  Dependencies only grow along any move, so upper-bound
+    violations prune permanently.
+
+    mandatory and dep_max are _Triples bitsets over the support.  Moves
+    are made only from a popped state that _scan found alive, whose
+    dependent triples already lie in dep_max, so a move is tested on the
+    triples it adds alone: those meeting a | b twice for a merge of a
+    and b, those inside it for a new line.
     """
 
-    def __init__(self, ground, support, mandatory, dep_max=None,
-                 cert1=(), cert2=()):
-        self.ground = ground
+    def __init__(self, support, mandatory, dep_max=None, cert1=(), cert2=()):
         self.support = support
-        self.mandatory = frozenset(mandatory)
-        self.dep_max = None if dep_max is None else frozenset(dep_max)
         self.cert1 = tuple(cert1)
         self.cert2 = tuple(cert2)
         self.tri = _Triples(support)
-        self.mandatory_bits = self.tri.bitset(self.mandatory)
-        self.dep_max_bits = ((1 << len(self.tri.masks)) - 1
-                             if dep_max is None else self.tri.bitset(dep_max))
-        # pair -> ok to merge into one class under dep_max
-        self.pair_ok = {}
-        if self.dep_max is not None:
-            for pair in ksubsets(support, 2):
-                rest = support & ~pair
-                self.pair_ok[pair] = all(
-                    (pair | (1 << i)) in self.dep_max for i in bits(rest))
-
-    def _merge_allowed(self, c1, c2):
-        if self.dep_max is None:
-            return True
-        for i in bits(c1):
-            for j in bits(c2):
-                if not self.pair_ok[(1 << i) | (1 << j)]:
-                    return False
-        return True
-
-    def _line_content_ok(self, lmask):
-        if self.dep_max is None:
-            return True
-        return all(t in self.dep_max for t in ksubsets(lmask, 3))
+        self.mandatory_bits = self.tri.bitset(mandatory)
+        self.dep_max_bits = (None if dep_max is None
+                             else self.tri.bitset(dep_max))
 
     def _normalize(self, classes, lines):
         """Cascade to a canonical state, or None when provably dead."""
@@ -317,15 +294,12 @@ class _Engine:
         return tuple(sorted(classes)), tuple(sorted(lines))
 
     def _guards_ok(self, classes, lines):
-        # certified rank-1 flats must remain exact classes in the end
-        for a in self.cert1:
+        # certified flats must remain unions of classes in the end
+        for a in self.cert1 + self.cert2:
             for c in classes:
                 if c & a and c & ~a:
                     return False
         for a in self.cert2:
-            for c in classes:
-                if c & a and c & ~a:
-                    return False
             for l in lines:
                 if l & ~a and sum(1 for c in classes
                                   if c & a and c & l == c) >= 2:
@@ -342,23 +316,26 @@ class _Engine:
         branching order of run().  A dead state reports none.
         """
         dep = self.tri.dependent(classes, lines)
-        if dep & ~self.dep_max_bits:
+        if self.dep_max_bits is not None and dep & ~self.dep_max_bits:
             return False, ()
         return True, self.tri.masks_of(self.mandatory_bits & ~dep)
 
-    def _children_of_triple(self, classes, lines, t, cls_of):
-        i, j, k = bits(t)
-        cs = sorted({cls_of[i], cls_of[j], cls_of[k]})
+    def _moves(self, classes, lines, group):
+        """Unnormalized children of a live state over a sorted group of
+        its classes: each merge of two, then each new line through three,
+        in combination order, without those that leave dep_max."""
+        bound = self.dep_max_bits
         out = []
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                if self._merge_allowed(cs[a], cs[b]):
-                    nc = [c for c in classes if c not in (cs[a], cs[b])]
-                    nc.append(cs[a] | cs[b])
-                    out.append((nc, list(lines)))
-        lmask = cs[0] | cs[1] | cs[2]
-        if len(cs) == 3 and self._line_content_ok(lmask):
-            out.append((list(classes), list(lines) + [lmask]))
+        for a, b in itertools.combinations(group, 2):
+            if bound is None or not self.tri.dependent((a | b,), ()) & ~bound:
+                out.append(([c for c in classes if c != a and c != b]
+                            + [a | b], list(lines)))
+        for pick in itertools.combinations(group, 3):
+            lmask = pick[0] | pick[1] | pick[2]
+            if any(lmask & ~l == 0 for l in lines):
+                continue
+            if bound is None or not self.tri.dependent((), (lmask,)) & ~bound:
+                out.append((list(classes), list(lines) + [lmask]))
         return out
 
     def run(self, seed_classes, seed_lines):
@@ -373,42 +350,21 @@ class _Engine:
             alive, uncovered = self._scan(classes, lines)
             if not alive:
                 continue
-            cls_of = _class_lookup(classes)
             if uncovered:
                 # branch on the most constrained uncovered triple
-                best = None
+                kids = None
                 for t in uncovered:
-                    kids = self._children_of_triple(classes, lines, t, cls_of)
-                    if best is None or len(kids) < len(best):
-                        best = kids
+                    moves = self._moves(classes, lines,
+                                        [c for c in classes if c & t])
+                    if kids is None or len(moves) < len(kids):
+                        kids = moves
                         if not kids:
                             break
-                for nc, nl in best:
-                    state = self._normalize(nc, nl)
-                    if state is not None and state not in seen:
-                        seen.add(state)
-                        stack.append(state)
-                continue
-            yield classes, lines
-            # grow: any class merge, any new line over three classes
-            for a in range(len(classes)):
-                for b in range(a + 1, len(classes)):
-                    if not self._merge_allowed(classes[a], classes[b]):
-                        continue
-                    nc = [c for x, c in enumerate(classes) if x not in (a, b)]
-                    nc.append(classes[a] | classes[b])
-                    state = self._normalize(nc, lines)
-                    if state is not None and state not in seen:
-                        seen.add(state)
-                        stack.append(state)
-            for cm in ksubsets((1 << len(classes)) - 1, 3):
-                pick = [classes[x] for x in bits(cm)]
-                lmask = pick[0] | pick[1] | pick[2]
-                if any(lmask & ~l == 0 for l in lines):
-                    continue
-                if not self._line_content_ok(lmask):
-                    continue
-                state = self._normalize(list(classes), list(lines) + [lmask])
+            else:
+                yield classes, lines
+                kids = self._moves(classes, lines, classes)
+            for nc, nl in kids:
+                state = self._normalize(nc, nl)
                 if state is not None and state not in seen:
                     seen.add(state)
                     stack.append(state)
@@ -489,7 +445,7 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
         dep_max = frozenset(dep_max)
         if any(t not in dep_max for t in mandatory):
             return
-    engine = _Engine(ground, support, mandatory, dep_max, cert1, cert2)
+    engine = _Engine(support, mandatory, dep_max, cert1, cert2)
     for classes, lines in engine.run(seed, ()):
         profile = Rank3Profile(ground, classes, lines)
         if connected_only and not profile.is_connected():

@@ -331,20 +331,17 @@ def _coerce_constraints(ground, constraints):
     return out
 
 
-def family_from_constraints(ground, constraints, size=None):
+def family_from_constraints(ground, constraints):
     """All subsets of the ground set satisfying every constraint.
 
-    A constraint {whole ground}==k (or an explicit size argument) restricts
-    the enumeration to k-element subsets; otherwise all 2^n subsets are
-    scanned.
+    A constraint {whole ground}==k restricts the enumeration to k-element
+    subsets; otherwise all 2^n subsets are scanned.
     """
     cons = _coerce_constraints(ground, constraints)
-    if size is None:
-        sizes = {c.bound for c in cons
-                 if c.dir == "==" and c.support == ground.full_mask}
-        if len(sizes) == 1:
-            size = sizes.pop()
-    if size is not None:
+    sizes = {c.bound for c in cons
+             if c.dir == "==" and c.support == ground.full_mask}
+    if len(sizes) == 1:
+        size = sizes.pop()
         rest = [c for c in cons
                 if not (c.dir == "==" and c.support == ground.full_mask
                         and c.bound == size)]

@@ -1,8 +1,9 @@
 """Fast paths against their definitional twins in util: the bitset
-kernels, the overlap merge and the census key on hypothesis-generated
-inputs, the face components on every face of a small pool, the census
-key on every family the census enumeration meets up to seven points,
-and the profile connectivity rule on every state of small searches."""
+kernels, the engine's moves, the overlap merge and the census key on
+hypothesis-generated inputs, the face components on every face of a
+small pool, the census key on every family the census enumeration meets
+up to seven points, and the profile connectivity rule on every state of
+small searches."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,8 +18,9 @@ from matbase.rank3 import _Engine, facet_graph_components, search_profiles
 from matbase.setfam import bits, ksubsets
 
 from util import (exchange_witness_pairs, face_components_by_minors, ground,
-                  line_key_by_permutations, merge_by_union_find, pool_small,
-                  relabel_mask, scan_per_triple)
+                  line_key_by_permutations, merge_by_union_find,
+                  moves_pairwise, pool_small, relabel_mask, scan_per_triple,
+                  triple_dependent)
 
 
 @st.composite
@@ -62,40 +64,64 @@ def test_exchange_error_carries_pair_loop_witness(case):
 @st.composite
 def engine_states(draw):
     """An _Engine over a random support with random mandatory triples and
-    dep_max, and a (classes, lines) state on that support: classes
-    partition the support, lines are unions of at least three classes."""
-    n = draw(st.integers(4, 8))
-    g = ground(n)
-    support = draw(st.integers(1, g.full_mask).filter(
-        lambda s: s.bit_count() >= 3))
+    dep_max, both also returned, and a (classes, lines) state on that
+    support: classes partition the support, lines are unions of at least
+    three classes.  All of it comes from one seeded Random, whose draws,
+    unlike hypothesis's own, do not lean to empty or full sets."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(4, 8)
+    elems = sorted(rng.sample(range(n), rng.randint(3, n)))
+    support = sum(1 << i for i in elems)
     triples = list(ksubsets(support, 3))
-    mandatory = draw(st.sets(st.sampled_from(triples)))
-    dep_max = draw(st.none() | st.sets(st.sampled_from(triples)).map(
-        lambda d: d | mandatory))
-    elems = [i for i in range(n) if support >> i & 1]
-    tags = draw(st.lists(st.integers(0, len(elems) - 1),
-                         min_size=len(elems), max_size=len(elems)))
+    mandatory = {t for t in triples if rng.random() < 0.3}
+    dep_max = None
+    if rng.random() < 0.5:
+        dep_max = {t for t in triples if rng.random() < 0.8} | mandatory
     by_tag = {}
-    for i, tag in zip(elems, tags):
+    for i in elems:
+        tag = rng.randrange(2 * len(elems))
         by_tag[tag] = by_tag.get(tag, 0) | 1 << i
     classes = sorted(by_tag.values())
     lines = []
     if len(classes) >= 3:
-        picks = st.sets(st.sampled_from(range(len(classes))), min_size=3)
-        for pick in draw(st.lists(picks, max_size=3)):
-            line = 0
-            for c in pick:
-                line |= classes[c]
-            lines.append(line)
-    engine = _Engine(g, support, mandatory, dep_max)
-    return engine, tuple(classes), tuple(sorted(lines))
+        for _ in range(rng.randint(0, 3)):
+            lines.append(sum(rng.sample(classes, rng.choice(
+                [3, 3, rng.randint(3, len(classes))]))))
+    engine = _Engine(support, mandatory, dep_max)
+    return engine, mandatory, dep_max, tuple(classes), tuple(sorted(lines))
 
 
 @given(engine_states())
 def test_scan_matches_per_triple_loop(case):
-    engine, classes, lines = case
-    assert engine._scan(classes, lines) == scan_per_triple(engine, classes,
-                                                           lines)
+    engine, mandatory, dep_max, classes, lines = case
+    assert engine._scan(classes, lines) == scan_per_triple(
+        engine.support, mandatory, dep_max, classes, lines)
+
+
+@given(engine_states())
+def test_moves_match_pairwise_rules(case):
+    # on each live state, under no bound, the drawn bound, and the drawn
+    # bound widened to keep the state alive: the grow moves, and the
+    # moves covering each uncovered triple
+    engine, mandatory, dep_max, classes, lines = case
+    support = engine.support
+    bounds = [None]
+    if dep_max is not None:
+        cls_of = {i: c for c in classes for i in bits(c)}
+        state_dep = {t for t in ksubsets(support, 3)
+                     if triple_dependent(t, cls_of, lines)}
+        bounds += [dep_max, dep_max | state_dep]
+    for bound in bounds:
+        engine = _Engine(support, mandatory, bound)
+        alive, uncovered = engine._scan(classes, lines)
+        if not alive:
+            continue
+        assert engine._moves(classes, lines, classes) == moves_pairwise(
+            support, bound, classes, lines)
+        for t in uncovered:
+            group = [c for c in classes if c & t]
+            assert engine._moves(classes, lines, group) == moves_pairwise(
+                support, bound, classes, lines, t)
 
 
 def test_components_on_face_match_minors():

@@ -18,7 +18,7 @@ from matbase.io import (load_matroid, matroid_from_json, matroid_to_dict,
                         matroid_to_json, save_matroid)
 from matbase.matroid import matroid_from_flat_constraints, uniform_matroid
 
-from util import ground
+from util import count_searches, ground
 
 
 def test_json_roundtrip():
@@ -211,6 +211,25 @@ def test_cli_order(files):
                    " inside\n")
     rc, out, _ = _run(["order", "--minimal", files["seven"]])
     assert rc == 1
+
+
+def test_cli_order_minimal_searches_once(tmp_path, monkeypatch):
+    # a non-minimal input gets its verdict and its witness from one
+    # search; a binary input is answered without one
+    nonminimal = tmp_path / "nonminimal.json"
+    save_matroid(get_example("nonminimal")["M"], nonminimal)
+    fano = tmp_path / "fano.json"
+    save_matroid(matroid_from_flat_constraints(
+        ground(7), 3, [("abc", 2), ("ade", 2), ("afg", 2), ("bdf", 2),
+                       ("beg", 2), ("cdg", 2), ("cef", 2)]), fano)
+    counts = count_searches(monkeypatch)
+    rc, out, _ = _run(["order", "--minimal", str(nonminimal)])
+    assert rc == 1 and out.startswith("false\nan included base system with ")
+    assert counts["runs"] == 1
+    counts.clear()
+    rc, out, _ = _run(["order", "--minimal", str(fano)])
+    assert rc == 0 and out.startswith("true\n")
+    assert counts["runs"] == 0
 
 
 def test_cli_census():

@@ -65,18 +65,68 @@ def triple_dependent(t, cls_of, lines):
     return any(t & ~l == 0 for l in lines)
 
 
-def scan_per_triple(engine, classes, lines):
+def scan_per_triple(support, mandatory, dep_max, classes, lines):
     """(alive, uncovered) of an _Engine state by testing every
     3-subset of the support on its own; the twin of _Engine._scan."""
     cls_of = {i: c for c in classes for i in bits(c)}
     uncovered = []
-    for t in ksubsets(engine.support, 3):
+    for t in ksubsets(support, 3):
         if triple_dependent(t, cls_of, lines):
-            if engine.dep_max is not None and t not in engine.dep_max:
+            if dep_max is not None and t not in dep_max:
                 return False, ()
-        elif t in engine.mandatory:
+        elif t in mandatory:
             uncovered.append(t)
     return True, uncovered
+
+
+def moves_pairwise(support, dep_max, classes, lines, t=None):
+    """Children of a live _Engine state by the pairwise rules: merging
+    classes c1 and c2 is allowed when every triple through an element of
+    each lies in dep_max, and a line when all its 3-subsets do.  With a
+    triple t, the moves of the three classes it meets, as the cover phase
+    made them; without, every grow move.  The twin of _Engine._moves."""
+    pair_ok = None
+    if dep_max is not None:
+        pair_ok = {pair: all((pair | 1 << i) in dep_max
+                             for i in bits(support & ~pair))
+                   for pair in ksubsets(support, 2)}
+
+    def merge_allowed(c1, c2):
+        return pair_ok is None or all(pair_ok[(1 << i) | (1 << j)]
+                                      for i in bits(c1) for j in bits(c2))
+
+    def line_content_ok(lmask):
+        return dep_max is None or all(s in dep_max
+                                      for s in ksubsets(lmask, 3))
+
+    out = []
+    if t is not None:
+        cls_of = {i: c for c in classes for i in bits(c)}
+        i, j, k = bits(t)
+        cs = sorted({cls_of[i], cls_of[j], cls_of[k]})
+        for a in range(len(cs)):
+            for b in range(a + 1, len(cs)):
+                if merge_allowed(cs[a], cs[b]):
+                    nc = [c for c in classes if c not in (cs[a], cs[b])]
+                    nc.append(cs[a] | cs[b])
+                    out.append((nc, list(lines)))
+        if len(cs) == 3 and line_content_ok(cs[0] | cs[1] | cs[2]):
+            out.append((list(classes), list(lines) + [cs[0] | cs[1] | cs[2]]))
+        return out
+    for a in range(len(classes)):
+        for b in range(a + 1, len(classes)):
+            if merge_allowed(classes[a], classes[b]):
+                nc = [c for x, c in enumerate(classes) if x not in (a, b)]
+                nc.append(classes[a] | classes[b])
+                out.append((nc, list(lines)))
+    for cm in ksubsets((1 << len(classes)) - 1, 3):
+        pick = [classes[x] for x in bits(cm)]
+        lmask = pick[0] | pick[1] | pick[2]
+        if any(lmask & ~l == 0 for l in lines):
+            continue
+        if line_content_ok(lmask):
+            out.append((list(classes), list(lines) + [lmask]))
+    return out
 
 
 def face_components_by_minors(m, amask):
