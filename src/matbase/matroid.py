@@ -140,20 +140,34 @@ class Matroid:
         return mask in self._base_set
 
     def closure_of(self, mask):
-        r = self.rank_of(mask)
-        cl = mask
-        rest = self.ground.full_mask & ~mask
-        for i in bits(rest):
-            if self.rank_of(mask | (1 << i)) == r:
-                cl |= 1 << i
-        return cl
+        """cl(X) = E - (U - X), U the union of the bases B with
+        |B & X| = r(X), in one pass over the bases that finds r(X) too.
+
+        An element e outside X has r(X + e) = r(X) + 1 exactly when some
+        base meets X in r(X) elements and holds e.
+        """
+        best = -1
+        union = 0
+        for b in self.bases.masks:
+            k = (b & mask).bit_count()
+            if k > best:
+                best, union = k, b
+            elif k == best:
+                union |= b
+        self._rank_memo[mask] = best
+        return self.ground.full_mask & ~(union & ~mask)
 
     def is_flat(self, mask):
         return self.closure_of(mask) == mask
 
     def flats(self):
         """All flats, as an ascending tuple of masks (closure of the empty set
-        and the full ground included)."""
+        and the full ground included).
+
+        The flats covering a flat F are the closures cl(F + e), and they
+        partition E - F: every e in cl(F + e) - F has the same closure.  So
+        one closure is taken per covering flat, not one per element.
+        """
         if self._flats is None:
             bottom = self.closure_of(0)
             seen = {bottom}
@@ -161,8 +175,10 @@ class Matroid:
             while frontier:
                 nxt = []
                 for f in frontier:
-                    for i in bits(self.ground.full_mask & ~f):
-                        g = self.closure_of(f | (1 << i))
+                    rest = self.ground.full_mask & ~f
+                    while rest:
+                        g = self.closure_of(f | (rest & -rest))
+                        rest &= ~g
                         if g not in seen:
                             seen.add(g)
                             nxt.append(g)

@@ -66,6 +66,21 @@ def facet_graph_components(m, a1mask, a2mask, flats2=None):
     return comps, sorted(edges)
 
 
+def _connected(full, support, classes, lines):
+    """Whether the rank-3 matroid of (classes, lines) over support, with
+    loops full - support, is connected.
+
+    A loop is a separator of its own, so the support must be the whole
+    ground.  A separator A of a loopless rank-3 matroid has
+    r(A) + r(E-A) = 3 and neither side has rank 0, so one side is a
+    parallel class C and E-C has rank 2: either only two classes are
+    left, or E-C is a long line (Oxley, Matroid Theory, ch. 4).
+    """
+    if support != full or len(classes) == 3:
+        return False
+    return all(support & ~c not in lines for c in classes)
+
+
 @dataclass(frozen=True)
 class Rank3Profile:
     """Parallel classes plus long lines of a rank-3 matroid.
@@ -91,18 +106,51 @@ class Rank3Profile:
         return mask
 
     def is_connected(self):
-        """Whether the matroid of this profile is connected.
+        """Whether the matroid of this profile is connected."""
+        return _connected(self.ground.full_mask, self.support(),
+                          self.classes, self.long_lines)
 
-        A loop is a separator of its own, so the support must be the
-        whole ground.  A separator A of a loopless rank-3 matroid has
-        r(A) + r(E-A) = 3 and neither side has rank 0, so one side is a
-        parallel class C and E-C has rank 2: either only two classes are
-        left, or E-C is a long line (Oxley, Matroid Theory, ch. 4).
+    def is_flat_of_rank(self, a, k):
+        """Whether the mask a is a flat of rank k, for k = 1 or 2.
+
+        Every flat holds the loops.  Beyond them a rank-1 flat is a
+        class, and a rank-2 flat is a long line or the union of two
+        classes that no long line holds together.
         """
         support = self.support()
-        if support != self.ground.full_mask or len(self.classes) == 3:
+        loops = self.ground.full_mask & ~support
+        if a & loops != loops:
             return False
-        return all(support & ~c not in self.long_lines for c in self.classes)
+        a &= support
+        if k == 1:
+            return a in self.classes
+        if a in self.long_lines:
+            return True
+        inside = [c for c in self.classes if c & ~a == 0]
+        return (len(inside) == 2 and inside[0] | inside[1] == a
+                and not any(a & ~l == 0 for l in self.long_lines))
+
+    def is_facet_flat(self, a, k):
+        """Whether (a, k)<= is facet-defining for the base system of the
+        connected matroid M of this profile, for k = 1 or 2: a is a flat
+        of rank k and both M|a and M/a are connected (facets.py).
+
+        For a rank-2 flat, M/a has rank 1 and no loops, and M|a is
+        connected when a spans >= 3 classes: a is a long line.  For a
+        class a, M|a is connected, and M/a has rank 2 with one parallel
+        class for each rank-2 flat through a, so it is connected when at
+        least three of them pass through a.
+        """
+        if not self.is_flat_of_rank(a, k):
+            return False
+        if not self.is_connected():
+            raise NotConnectedError("facet analysis needs a connected matroid")
+        if k == 2:
+            return a in self.long_lines
+        through = [l for l in self.long_lines if l & a]
+        alone = [c for c in self.classes
+                 if c != a and not any(c & l for l in through)]
+        return len(through) + len(alone) >= 3
 
     def dependent_triples(self):
         """Masks of the 3-subsets of the support that are dependent."""
@@ -224,25 +272,38 @@ class InclusionConstraints:
 class _Engine:
     """Backtracking over (classes, lines) states.
 
-    Every move comes from _moves, over a sorted group of the state's
+    Every move comes from _picks, over a sorted group of the state's
     classes: merge two of them, or add a line through three that no line
     holds yet.  Cover phase makes every mandatory triple dependent,
-    branching on the uncovered triple whose group (the classes it meets)
-    has the fewest moves; grow phase then takes every move over all
-    classes.  States normalize by absorbing classes into touching lines,
-    dropping lines down to <= 2 classes, and merging lines that share
-    >= 2 classes.  Dependencies only grow along any move, so upper-bound
-    violations prune permanently.
+    branching on the first uncovered triple whose group (the classes it
+    meets) has the fewest moves; the moves are counted for every
+    uncovered triple and built for that one alone.  Grow phase then
+    takes every move over all classes.  States normalize by absorbing
+    classes into touching lines, dropping lines down to <= 2 classes,
+    and merging lines that share >= 2 classes.  Dependencies only grow
+    along any move, so upper-bound violations prune permanently.
 
     mandatory and dep_max are _Triples bitsets over the support.  Moves
     are made only from a popped state that _scan found alive, whose
     dependent triples already lie in dep_max, so a move is tested on the
     triples it adds alone: those meeting a | b twice for a merge of a
     and b, those inside it for a new line.
+
+    With full, the mask of the whole ground, a popped state whose
+    matroid is disconnected (_connected) is dropped with everything
+    below it.  That is exact: a child has the same rank and fewer bases,
+    and when B(M') lies in B(M) at equal rank, every separator A of M,
+    r(A) + r(E-A) = r(E), is one of M' too, since r' <= r and
+    r'(E) = r(E).  So every descendant of a disconnected state is
+    disconnected or dead, a connected state is only reached from a
+    connected parent, and the connected states come in the same order
+    as without the prune.
     """
 
-    def __init__(self, support, mandatory, dep_max=None, cert1=(), cert2=()):
+    def __init__(self, support, mandatory, dep_max=None, cert1=(), cert2=(),
+                 full=None):
         self.support = support
+        self.full = full
         self.cert1 = tuple(cert1)
         self.cert2 = tuple(cert2)
         self.tri = _Triples(support)
@@ -251,44 +312,43 @@ class _Engine:
                              else self.tri.bitset(dep_max))
 
     def _normalize(self, classes, lines):
-        """Cascade to a canonical state, or None when provably dead."""
-        classes = list(classes)
-        lines = [l for l in lines]
-        while True:
-            changed = False
-            # classes meeting a line are swallowed by it
-            for idx, l in enumerate(lines):
-                for c in classes:
-                    if c & l and c & ~l:
-                        lines[idx] = l = l | c
-                        changed = True
-            # a line spanning <= 2 classes adds nothing beyond the classes
-            kept = [l for l in lines
-                    if sum(1 for c in classes if c & l) >= 3]
-            if len(kept) != len(lines):
-                changed = True
-            lines = kept
-            # two lines sharing >= 2 classes span the same rank-2 flat
-            merged = True
-            while merged:
-                merged = False
-                for a in range(len(lines)):
-                    for b in range(a + 1, len(lines)):
-                        common = lines[a] & lines[b]
-                        if sum(1 for c in classes if c & common == c) >= 2:
-                            lines[a] |= lines[b]
-                            del lines[b]
-                            merged = changed = True
-                            break
-                    if merged:
-                        break
-            if not changed:
-                break
+        """Canonical state, or None when provably dead.
+
+        Classes never change here, and a line absorbs exactly the classes
+        it meets, so each line is read as the bitmask of the indices of
+        those classes, kept beside their union.  Masks of fewer than 3
+        classes are dropped, then two masks sharing >= 2 classes are
+        merged until no pair does; the result does not depend on the
+        order of the merges, since each merge is forced in every outcome.
+        A mask of every class is a rank-2 state, which is dead.
+        """
         if len(classes) < 3:
             return None
+        every = (1 << len(classes)) - 1
+        masks = []
+        unions = []
         for l in lines:
-            if l == self.support:
+            m = 0
+            whole = 0
+            for k, c in enumerate(classes):
+                if c & l:
+                    m |= 1 << k
+                    whole |= c
+            if m.bit_count() < 3:
+                continue
+            k = 0
+            while k < len(masks):
+                if (m & masks[k]).bit_count() >= 2:
+                    m |= masks.pop(k)
+                    whole |= unions.pop(k)
+                    k = 0
+                else:
+                    k += 1
+            if m == every:
                 return None  # all classes collinear, rank <= 2
+            masks.append(m)
+            unions.append(whole)
+        lines = unions
         if not self._guards_ok(classes, lines):
             return None
         return tuple(sorted(classes)), tuple(sorted(lines))
@@ -320,26 +380,45 @@ class _Engine:
             return False, ()
         return True, self.tri.masks_of(self.mandatory_bits & ~dep)
 
-    def _moves(self, classes, lines, group):
-        """Unnormalized children of a live state over a sorted group of
-        its classes: each merge of two, then each new line through three,
-        in combination order, without those that leave dep_max."""
+    def _picks(self, lines, group):
+        """The moves of a live state over a sorted group of its classes
+        that stay inside dep_max, in combination order: each merge of
+        two, as a pair, then each new line through three that no line
+        holds yet, as its mask."""
         bound = self.dep_max_bits
         out = []
         for a, b in itertools.combinations(group, 2):
             if bound is None or not self.tri.dependent((a | b,), ()) & ~bound:
-                out.append(([c for c in classes if c != a and c != b]
-                            + [a | b], list(lines)))
+                out.append((a, b))
         for pick in itertools.combinations(group, 3):
             lmask = pick[0] | pick[1] | pick[2]
             if any(lmask & ~l == 0 for l in lines):
                 continue
             if bound is None or not self.tri.dependent((), (lmask,)) & ~bound:
-                out.append((list(classes), list(lines) + [lmask]))
+                out.append(lmask)
         return out
 
+    @staticmethod
+    def _children(classes, lines, picks):
+        """The unnormalized child of a state for each pick."""
+        out = []
+        for pick in picks:
+            if isinstance(pick, tuple):
+                a, b = pick
+                out.append(([c for c in classes if c != a and c != b]
+                            + [a | b], list(lines)))
+            else:
+                out.append((list(classes), list(lines) + [pick]))
+        return out
+
+    def _moves(self, classes, lines, group):
+        """Unnormalized children of a live state over a sorted group of
+        its classes, one for each of its _picks."""
+        return self._children(classes, lines, self._picks(lines, group))
+
     def run(self, seed_classes, seed_lines):
-        """Yield every normalized reachable state with mandatory covered."""
+        """Yield every normalized reachable state with mandatory covered
+        (and, with full, connected)."""
         start = self._normalize(seed_classes, seed_lines)
         if start is None:
             return
@@ -347,19 +426,22 @@ class _Engine:
         stack = [start]
         while stack:
             classes, lines = stack.pop()
+            if self.full is not None and not _connected(
+                    self.full, self.support, classes, lines):
+                continue
             alive, uncovered = self._scan(classes, lines)
             if not alive:
                 continue
             if uncovered:
                 # branch on the most constrained uncovered triple
-                kids = None
+                best = None
                 for t in uncovered:
-                    moves = self._moves(classes, lines,
-                                        [c for c in classes if c & t])
-                    if kids is None or len(moves) < len(kids):
-                        kids = moves
-                        if not kids:
+                    picks = self._picks(lines, [c for c in classes if c & t])
+                    if best is None or len(picks) < len(best):
+                        best = picks
+                        if not picks:
                             break
+                kids = self._children(classes, lines, best)
             else:
                 yield classes, lines
                 kids = self._moves(classes, lines, classes)
@@ -420,12 +502,12 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
 
     mandatory: triples that must be dependent; dep_max: triples allowed
     to be dependent (None for no bound); support: the non-loops (default
-    the whole ground).  With connected_only, profiles whose matroid is
-    disconnected are dropped by Rank3Profile.is_connected.  A matroid is
-    built only for a profile that forbidden or require_facet entries
-    have to inspect.  A require_facet inequality must be facet-defining
-    for the result and not for m; if it is one for m, nothing is yielded
-    and the engine does not run.
+    the whole ground).  With connected_only, the engine prunes every
+    state whose matroid is disconnected, and everything below it.  A
+    matroid is built only for a profile that a forbidden entry has to
+    inspect.  A require_facet inequality must be facet-defining for the
+    result and not for m; if it is one for m, nothing is yielded and the
+    engine does not run.
     """
     ground = m.ground
     if support is None:
@@ -445,24 +527,26 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
         dep_max = frozenset(dep_max)
         if any(t not in dep_max for t in mandatory):
             return
-    engine = _Engine(support, mandatory, dep_max, cert1, cert2)
+    engine = _Engine(support, mandatory, dep_max, cert1, cert2,
+                     ground.full_mask if connected_only else None)
     for classes, lines in engine.run(seed, ()):
         profile = Rank3Profile(ground, classes, lines)
-        if connected_only and not profile.is_connected():
-            continue
         if _finalize_ok(profile, constraints):
             yield profile
 
 
 def _finalize_ok(profile, constraints):
-    if not (constraints.forbidden or constraints.require_facet):
+    """Whether a profile meets the forbidden and require_facet entries.
+
+    The profile decides each require_facet entry (is_facet_flat); a
+    matroid is built only for the forbidden base scan, and only for a
+    profile that passes them all.
+    """
+    if not all(profile.is_facet_flat(c.support, c.bound)
+               for c in constraints.require_facet):
+        return False
+    if not constraints.forbidden:
         return True
-    mat = profile.matroid()
-    for c in constraints.forbidden:
-        if all(c.satisfied(b) for b in mat.bases):
-            return False
-    for c in constraints.require_facet:
-        if not (mat.is_flat(c.support)
-                and is_facet_inequality(mat, c.support, c.bound)):
-            return False
-    return True
+    bases = profile.matroid().bases
+    return not any(all(c.satisfied(b) for b in bases)
+                   for c in constraints.forbidden)

@@ -5,22 +5,27 @@ small pool, the census key on every family the census enumeration meets
 up to seven points, and the profile connectivity rule on every state of
 small searches."""
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from matbase.census import (_candidate_lines, _extensions, canonical_key,
-                            census_rank3, iter_line_families)
-from matbase.errors import ExchangeAxiomError
-from matbase.examples import get_example
-from matbase.facets import is_facet_defining_base
+                            census_rank3, iter_line_families,
+                            matroid_of_lines)
+from matbase.errors import ExchangeAxiomError, MatbaseError
+from matbase.examples import example_ids, get_example
+from matbase.facets import is_facet_defining_base, is_facet_inequality
 from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
-from matbase.rank3 import _Engine, facet_graph_components, search_profiles
+from matbase.rank3 import (_Engine, check_rank3_input,
+                           facet_graph_components, search_profiles)
 from matbase.setfam import bits, ksubsets
 
-from util import (exchange_witness_pairs, face_components_by_minors, ground,
-                  line_key_by_permutations, merge_by_union_find,
-                  moves_pairwise, pool_small, relabel_mask, scan_per_triple,
-                  triple_dependent)
+from util import (closure_by_rank, exchange_witness_pairs,
+                  face_components_by_minors, ground, line_key_by_permutations,
+                  merge_by_union_find, moves_pairwise, normalize_cascade,
+                  pool_small, relabel_mask, scan_per_triple, triple_dependent)
 
 
 @st.composite
@@ -61,14 +66,11 @@ def test_exchange_error_carries_pair_loop_witness(case):
                                 g.labels[x])
 
 
-@st.composite
-def engine_states(draw):
+def random_engine_state(rng):
     """An _Engine over a random support with random mandatory triples and
     dep_max, both also returned, and a (classes, lines) state on that
     support: classes partition the support, lines are unions of at least
-    three classes.  All of it comes from one seeded Random, whose draws,
-    unlike hypothesis's own, do not lean to empty or full sets."""
-    rng = draw(st.randoms(use_true_random=True))
+    three classes."""
     n = rng.randint(4, 8)
     elems = sorted(rng.sample(range(n), rng.randint(3, n)))
     support = sum(1 << i for i in elems)
@@ -89,6 +91,13 @@ def engine_states(draw):
                 [3, 3, rng.randint(3, len(classes))]))))
     engine = _Engine(support, mandatory, dep_max)
     return engine, mandatory, dep_max, tuple(classes), tuple(sorted(lines))
+
+
+@st.composite
+def engine_states(draw):
+    """random_engine_state from one seeded Random, whose draws, unlike
+    hypothesis's own, do not lean to empty or full sets."""
+    return random_engine_state(draw(st.randoms(use_true_random=True)))
 
 
 @given(engine_states())
@@ -122,6 +131,78 @@ def test_moves_match_pairwise_rules(case):
             group = [c for c in classes if c & t]
             assert engine._moves(classes, lines, group) == moves_pairwise(
                 support, bound, classes, lines, t)
+
+
+def normalize_inputs(case, rng):
+    """Unnormalized states on the support of a drawn case, each with an
+    engine to normalize it: the drawn state, the drawn classes with up
+    to three raw lines (any masks of at least two elements, not unions
+    of classes), and every child _moves makes of either one with no
+    bound, over all classes and over the classes each mandatory triple
+    meets.  Half the time the engine also guards random certified flats
+    of rank 1 and 2."""
+    engine, mandatory, _, classes, lines = case
+    support = engine.support
+    elems = list(bits(support))
+    cert1 = cert2 = ()
+    if rng.random() < 0.5:
+        cert1 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
+            1, 2))) for _ in range(rng.randint(0, 1)))
+        cert2 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
+            2, len(elems)))) for _ in range(rng.randint(0, 2)))
+    engine = _Engine(support, mandatory, None, cert1, cert2)
+    raw = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
+        2, len(elems)))) for _ in range(rng.randint(1, 3)))
+    for state in ((classes, lines), (classes, raw)):
+        yield engine, state
+        groups = [list(classes)] + [[c for c in classes if c & t]
+                                    for t in sorted(mandatory)]
+        for group in groups:
+            for kid in engine._moves(state[0], state[1], group):
+                yield engine, kid
+
+
+@given(engine_states(), st.randoms(use_true_random=True))
+def test_normalize_matches_cascade(case, rng):
+    for engine, (classes, lines) in normalize_inputs(case, rng):
+        assert (engine._normalize(classes, lines)
+                == normalize_cascade(engine, classes, lines))
+
+
+def test_normalize_matches_cascade_dead_and_kept():
+    # the same comparison over fixed seeds, which must meet both dead
+    # (None) and kept states, and lines that are not unions of classes
+    dead = kept = ragged = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        case = random_engine_state(rng)
+        for engine, (classes, lines) in normalize_inputs(case, rng):
+            got = engine._normalize(classes, lines)
+            assert got == normalize_cascade(engine, classes, lines)
+            dead += got is None
+            kept += got is not None
+            ragged += any(c & l and c & ~l for c in classes for l in lines)
+    assert dead and kept and ragged
+
+
+def test_closure_matches_rank_definition_on_pool():
+    # every mask of every matroid on at most six elements, and flats()
+    # against the masks that are their own closure
+    for m in pool_small(6):
+        masks = range(1 << m.ground.n)
+        closures = [closure_by_rank(m, x) for x in masks]
+        assert [m.closure_of(x) for x in masks] == closures
+        assert m.flats() == tuple(x for x in masks if closures[x] == x)
+
+
+@given(families(), st.integers(0, 127))
+def test_closure_matches_rank_definition_on_families(case, x):
+    # the one-pass rule and the rank loop agree on any equal-size family,
+    # matroid or not, so the family is taken on trust
+    n, fam = case
+    m = Matroid(ground(n), fam, trusted=True)
+    x &= m.ground.full_mask
+    assert m.closure_of(x) == closure_by_rank(m, x)
 
 
 def test_components_on_face_match_minors():
@@ -162,10 +243,10 @@ def test_facet_graph_components_are_graph_components(case):
 
 
 @st.composite
-def line_families(draw):
-    """Line families on at most 7 points, in any order: lines of 3 to
-    n - 2 points pairwise meeting in at most one point."""
-    n = draw(st.integers(4, 7))
+def line_families(draw, max_n=7):
+    """Line families on at most max_n points, in any order: lines of 3
+    to n - 2 points pairwise meeting in at most one point."""
+    n = draw(st.integers(4, max_n))
     candidates = _candidate_lines(n)
     fam = []
     if candidates:
@@ -195,21 +276,105 @@ def test_canonical_key_on_census_families(n):
             assert canonical_key(raw) == line_key_by_permutations(n, raw)
 
 
-def test_profile_connectivity_matches_matroid():
-    # every profile the search yields, connected or not, on the census
-    # classes up to six points and seven_typed, with the whole ground as
-    # support and with one element made a loop
-    seen = disconnected = 0
+@functools.lru_cache(maxsize=None)
+def walked_profiles():
+    """Every profile the search yields, connected or not, with its
+    matroid, on the census classes up to six points and seven_typed,
+    with the whole ground as support and with one element made a loop."""
+    out = []
     for m in ([m for n in range(4, 7) for m in census_rank3(n)]
               + [get_example("seven_typed")["M"]]):
         full = m.ground.full_mask
         for support in (full, full & ~1):
             mandatory = [t for t in ksubsets(support, 3) if t not in m.bases]
-            for profile in search_profiles(m, mandatory=mandatory,
-                                           support=support,
-                                           connected_only=False):
-                connected = profile.is_connected()
-                assert connected == profile.matroid().is_connected()
-                seen += 1
-                disconnected += not connected
+            out += [(p, p.matroid()) for p in search_profiles(
+                m, mandatory=mandatory, support=support,
+                connected_only=False)]
+    return tuple(out)
+
+
+def test_profile_connectivity_matches_matroid():
+    seen = disconnected = 0
+    for profile, mat in walked_profiles():
+        connected = profile.is_connected()
+        assert connected == mat.is_connected()
+        seen += 1
+        disconnected += not connected
     assert 0 < disconnected < seen
+
+
+def test_profile_flat_and_facet_rules_match_matroid():
+    # the flat rule on every mask, and on connected profiles the facet
+    # rule on every flat of rank 1 and 2
+    facets = 0
+    for profile, mat in walked_profiles():
+        for k in (1, 2):
+            flats = {f for f in mat.flats() if mat.rank_of(f) == k}
+            for a in range(1 << mat.ground.n):
+                assert profile.is_flat_of_rank(a, k) == (a in flats)
+            assert all(mat.is_flat(f) for f in flats)
+            if not profile.is_connected():
+                continue
+            for f in flats:
+                facet = is_facet_inequality(mat, f, k)
+                assert profile.is_facet_flat(f, k) == facet
+                facets += facet
+    assert facets
+
+
+def pruned_matches_filtered(m, support=None):
+    """The pruned search against the full one filtered by is_connected:
+    the same profiles in the same order.  Returns how many."""
+    if support is None:
+        support = m.ground.full_mask
+    mandatory = [t for t in ksubsets(support, 3) if t not in m.bases]
+    pruned = [p.key() for p in search_profiles(
+        m, mandatory=mandatory, support=support)]
+    full = [p.key() for p in search_profiles(
+        m, mandatory=mandatory, support=support, connected_only=False)
+        if p.is_connected()]
+    assert pruned == full
+    return len(pruned)
+
+
+def cheap_to_search(m):
+    """Not a rank-3 matroid on 7 points with at most one dependent triple
+    (34 or 35 bases): the full search on U(3,7) alone yields 22,172
+    profiles and takes seconds."""
+    return m.ground.n < 7 or len(m.bases) <= 33
+
+
+def test_pruned_search_matches_filtered_on_census():
+    # every census class up to seven points but U(3,7) and the single
+    # 3-point line, with the whole ground as support and with one
+    # element made a loop (which leaves nothing)
+    found = 0
+    for m in filter(cheap_to_search, CENSUS_TO_7):
+        found += pruned_matches_filtered(m)
+        assert pruned_matches_filtered(m, m.ground.full_mask & ~1) == 0
+    assert found > len(CENSUS_TO_7)
+
+
+def rank3_fixtures(n_max):
+    for eid in example_ids():
+        for m in get_example(eid).matroids.values():
+            if m.ground.n > n_max:
+                continue
+            try:
+                check_rank3_input(m)
+            except MatbaseError:
+                continue
+            yield m
+
+
+def test_pruned_search_matches_filtered_on_fixtures():
+    # every fixture matroid check_rank3_input accepts, lucascon M1 among
+    # them, except the 12-element one, which takes longer than the rest
+    # of the module together
+    counts = [pruned_matches_filtered(m) for m in rank3_fixtures(11)]
+    assert len(counts) >= 10 and max(counts) >= 100
+
+
+@given(line_families(max_n=6))
+def test_pruned_search_matches_filtered_on_line_families(case):
+    pruned_matches_filtered(matroid_of_lines(*case))

@@ -326,3 +326,12 @@ def test_import_loads_no_numpy():
          "import sys, matbase; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_python_m_matbase_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(matbase.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "matbase", "verify", "m2"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "-- m2: pass"

@@ -8,6 +8,7 @@ import pytest
 from matbase.errors import (ConstraintError, GroundMismatchError, LoopError,
                             RankError)
 from matbase.examples import get_example
+from matbase.facets import is_facet_inequality
 from matbase.matroid import (matroid_from_bases, matroid_from_flat_constraints,
                              uniform_matroid)
 from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
@@ -240,3 +241,22 @@ def test_required_original_facet_skips_the_engine(monkeypatch):
     cons = InclusionConstraints.of(g, require_facet=["{b,d}<=1"])
     assert enumerate_included_rank3(m, cons)
     assert counts["runs"] == 1
+
+
+def test_require_facet_builds_only_returned_matroids(monkeypatch):
+    # the profile decides every require_facet entry, so a matroid is
+    # built only for each system returned; a 2-point set is never a
+    # facet flat of rank 2, so nothing is built for it
+    m = uniform_matroid(3, 6)
+    g = m.ground
+    counts = count_searches(monkeypatch)
+    built = 0
+    for a, bound in (("ab", 2), ("abc", 2), ("ab", 1)):
+        cons = InclusionConstraints.of(
+            g, require_facet=["{%s}<=%d" % (",".join(a), bound)])
+        found = enumerate_included_rank3(m, cons)
+        assert (found == []) == (bound == 2 and a == "ab")
+        assert all(is_facet_inequality(sub, g.mask(list(a)), bound)
+                   for sub in found)
+        built += len(found)
+        assert counts["builds"] == built

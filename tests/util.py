@@ -79,6 +79,46 @@ def scan_per_triple(support, mandatory, dep_max, classes, lines):
     return True, uncovered
 
 
+def normalize_cascade(engine, classes, lines):
+    """An _Engine state normalized by the cascade, or None when dead:
+    lines absorb every class they meet, lines meeting <= 2 classes are
+    dropped, and two lines sharing >= 2 whole classes are merged, over
+    and over until nothing changes.  The twin of _Engine._normalize."""
+    classes = list(classes)
+    lines = list(lines)
+    while True:
+        changed = False
+        for idx, l in enumerate(lines):
+            for c in classes:
+                if c & l and c & ~l:
+                    lines[idx] = l = l | c
+                    changed = True
+        kept = [l for l in lines if sum(1 for c in classes if c & l) >= 3]
+        if len(kept) != len(lines):
+            changed = True
+        lines = kept
+        merged = True
+        while merged:
+            merged = False
+            for a in range(len(lines)):
+                for b in range(a + 1, len(lines)):
+                    common = lines[a] & lines[b]
+                    if sum(1 for c in classes if c & common == c) >= 2:
+                        lines[a] |= lines[b]
+                        del lines[b]
+                        merged = changed = True
+                        break
+                if merged:
+                    break
+        if not changed:
+            break
+    if len(classes) < 3 or engine.support in lines:
+        return None
+    if not engine._guards_ok(classes, lines):
+        return None
+    return tuple(sorted(classes)), tuple(sorted(lines))
+
+
 def moves_pairwise(support, dep_max, classes, lines, t=None):
     """Children of a live _Engine state by the pairwise rules: merging
     classes c1 and c2 is allowed when every triple through an element of
@@ -194,6 +234,17 @@ def rank_brute(m, xmask):
     for b in m.bases:
         best = max(best, (b & xmask).bit_count())
     return best
+
+
+def closure_by_rank(m, xmask):
+    """X together with every e outside it with r(X + e) = r(X), by
+    rank_brute; the twin of Matroid.closure_of."""
+    r = rank_brute(m, xmask)
+    out = xmask
+    for i in bits(m.ground.full_mask & ~xmask):
+        if rank_brute(m, xmask | 1 << i) == r:
+            out |= 1 << i
+    return out
 
 
 def independent_sets(m):
