@@ -21,7 +21,7 @@ from .errors import (ConstraintError, ContradictionError, ExchangeAxiomError,
                      NotSimpleError)
 from .setfam import LinearConstraint, bits, ksubsets
 from .matroid import _exchange_witness, matroid_from_bases, merge_overlapping
-from .facets import base_facets, is_facet_inequality
+from .facets import _facet_table, is_facet_inequality
 from .rank3 import (InclusionConstraints, Rank3Profile, check_rank3_input,
                     facet_graph_components, facet_rank2_flats)
 from .order import _included_profiles, enumerate_included_rank3
@@ -279,7 +279,7 @@ def three_partitions(m):
                         for probe in (i, j):
                             if (probe, k) not in edge_sets:
                                 edge_sets[(probe, k)] = set(facet_graph_components(
-                                    m, parts[probe], parts[k], flats2)[1])
+                                    m, parts[probe], parts[k])[1])
                         if edge_sets[(i, k)] & edge_sets[(j, k)]:
                             disjoint = False
                             break
@@ -316,7 +316,6 @@ def propagate(m, c):
     check_rank3_input(m)
     ground = m.ground
     full = ground.full_mask
-    flats2m = facet_rank2_flats(m)
     ones = set(c.forced_rank1)
     twos = set(c.forced_rank2)
     flat1 = {rc.support for rc in c.require_facet if rc.bound == 1}
@@ -357,11 +356,11 @@ def propagate(m, c):
             if z1 & z2:
                 ones.add(z1 & z2)
         for f in sorted(flat1):
-            comps, _ = facet_graph_components(m, f, full & ~f, flats2m)
+            comps, _ = facet_graph_components(m, f, full & ~f)
             for comp in comps:
                 twos.add(f | comp)
         for z in sorted(flat2):
-            comps, _ = facet_graph_components(m, full & ~z, z, flats2m)
+            comps, _ = facet_graph_components(m, full & ~z, z)
             for comp in comps:
                 if comp.bit_count() >= 2:
                     ones.add(comp)
@@ -472,14 +471,31 @@ def _separating_hyperplane(ground, ileft, iright):
     return None
 
 
-def _reversed_facet_face(piece, bases, fmask, bound):
-    """The face of the piece at (fmask,bound)>= when that inequality is
-    facet-defining for it, else None."""
-    full = piece.ground.full_mask
-    comp = full & ~fmask
-    if not is_facet_inequality(piece, comp, piece.rank - bound):
-        return None
-    return frozenset(b for b in bases if (b & fmask).bit_count() == bound)
+def _facet_partners(m, pieces):
+    """Per piece, its non-original facets (A,a)<= in mask order, each as
+    (A, a, partners): the other pieces with (E-A, r-a)<= as a facet, the
+    inequality reversed, and the same face {B : |B & A| = a}.  The pieces
+    must be connected and of the rank of m."""
+    full = m.ground.full_mask
+    tables = [_facet_table(p) for p in pieces]
+
+    def face(j, amask, a):
+        return frozenset(b for b in pieces[j].bases
+                         if (b & amask).bit_count() == a)
+
+    out = []
+    for i, table in enumerate(tables):
+        facets = []
+        for amask, a in table:
+            if is_facet_inequality(m, amask, a):
+                continue
+            reverse = (full & ~amask, m.rank - a)
+            tight = face(i, amask, a)
+            facets.append((amask, a, tuple(
+                j for j, other in enumerate(tables)
+                if j != i and reverse in other and face(j, amask, a) == tight)))
+        out.append(tuple(facets))
+    return out
 
 
 def verify_decomposition(m, pieces):
@@ -521,16 +537,8 @@ def verify_decomposition(m, pieces):
                 False, "(c)", "no hyperplane separates pieces %d and %d" % (i, j))
         seps.append(((i, j), sep))
     pairs = set()
-    for i, p in enumerate(pieces):
-        for rep in base_facets(p):
-            fmask, bound = rep.flat.mask, rep.rank_at_flat
-            if is_facet_inequality(m, fmask, bound):
-                continue
-            tight = frozenset(b for b in fams[i]
-                              if (b & fmask).bit_count() == bound)
-            partners = [j for j in range(len(pieces)) if j != i
-                        and _reversed_facet_face(pieces[j], fams[j], fmask,
-                                                 bound) == tight]
+    for i, facets in enumerate(_facet_partners(m, pieces)):
+        for fmask, bound, partners in facets:
             if len(partners) != 1:
                 return DecompositionReport(
                     False, "(d)",
@@ -590,31 +598,14 @@ def _decompose_rank3(m, max_pieces, pool):
     if not pool:
         return None
     fams = [frozenset(p.bases) for p in pool]
-    nonorig = []
-    for p, fam in zip(pool, fams):
-        lst = []
-        for rep in base_facets(p):
-            fmask, bound = rep.flat.mask, rep.rank_at_flat
-            if is_facet_inequality(m, fmask, bound):
-                continue
-            tight = frozenset(b for b in fam
-                              if (b & fmask).bit_count() == bound)
-            lst.append((fmask, bound, tight))
-        nonorig.append(tuple(lst))
-    partners = {}
-    for qi in range(len(pool)):
-        for fmask, bound, tight in nonorig[qi]:
-            partners[(qi, fmask, bound)] = tuple(
-                qj for qj in range(len(pool)) if qj != qi
-                and _reversed_facet_face(pool[qj], fams[qj], fmask,
-                                         bound) == tight)
+    nonorig = _facet_partners(m, pool)
+    keys = [{(f, b) for f, b, _ in facets} for facets in nonorig]
     whole = frozenset(m.bases)
     seeds = []
     for tp in three_partitions(m):
         for ai, aj in itertools.permutations(tp.parts, 2):
             for qi in range(len(pool)):
-                keys = {(f, b) for f, b, _ in nonorig[qi]}
-                if (ai, 1) in keys and (ai | aj, 2) in keys:
+                if (ai, 1) in keys[qi] and (ai | aj, 2) in keys[qi]:
                     s = frozenset((qi,))
                     if s not in seeds:
                         seeds.append(s)
@@ -628,22 +619,17 @@ def _decompose_rank3(m, max_pieces, pool):
             if s in seen:
                 continue
             seen.add(s)
-            open_facet = None
-            for qi in sorted(s):
-                for fmask, bound, _ in nonorig[qi]:
-                    if not any(qj in s for qj in partners[(qi, fmask, bound)]):
-                        open_facet = (qi, fmask, bound)
-                        break
-                if open_facet:
-                    break
-            if open_facet is None:
+            open_partners = next(
+                (partners for qi in sorted(s) for _, _, partners in nonorig[qi]
+                 if not any(qj in s for qj in partners)), None)
+            if open_partners is None:
                 if frozenset().union(*(fams[qi] for qi in s)) == whole:
                     closed.append(s)
                 continue
             if len(s) >= max_pieces:
                 inconclusive = True
                 continue
-            for qj in partners[open_facet]:
+            for qj in open_partners:
                 nxt = s | {qj}
                 if nxt not in seen:
                     queue.append(nxt)

@@ -7,7 +7,8 @@ by A are connected.  The face is the tight family {B : |B & A| = r(A)},
 which is the base family of M|A direct-sum M/A over the same ground, so
 its components come from that family directly, without building either
 minor.  Connectivity counts every loop and coloop as its own component,
-so the test is pure component counting.
+so the test is pure component counting.  Each matroid's facets are found
+once, into a table that every facet question reads.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from dataclasses import dataclass
 
 from .errors import NotConnectedError, RankError
 from .matroid import family_components
-from .setfam import ElementSet, GroundSet, bits
+from .setfam import ElementSet, bits
 
 
-def _as_mask(ground, a):
-    return ground.mask(a)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacetReport:
     """Outcome of testing one inequality (flat, rank_at_flat)<= on a base
     system.
@@ -62,7 +59,7 @@ def _is_trivial(m, amask):
 def is_facet_defining_ind(m, a):
     """Facet test for the independence system: a flat with connected
     restriction."""
-    amask = _as_mask(m.ground, a)
+    amask = m.ground.mask(a)
     if amask == 0:
         return False
     return m.is_flat(amask) and m.restrict(amask).is_connected()
@@ -72,7 +69,7 @@ def is_facet_defining_base(m, a):
     """Full report for one candidate inequality on a connected matroid."""
     if not m.is_connected():
         raise NotConnectedError("facet analysis needs a connected matroid")
-    amask = _as_mask(m.ground, a)
+    amask = m.ground.mask(a)
     if amask == 0 or amask == m.ground.full_mask:
         raise RankError("candidate set must be nonempty and proper")
     comps = _face_components(m, amask)
@@ -86,35 +83,47 @@ def is_facet_defining_base(m, a):
     )
 
 
-def is_facet_inequality(m, amask, bound):
-    """Whether (A, bound)<= is facet-defining for B(m): bound is r(A) and
-    the face it cuts is a facet.  For the whole system: an original facet."""
-    return (m.rank_of(amask) == bound
-            and is_facet_defining_base(m, amask).facet_of_base)
-
-
-def base_facets(m):
-    """All facet-defining inequalities of the base system, in mask order.
+def _facet_table(m):
+    """{(flat, rank_at_flat): FacetReport} over the facets of B(m), in mask
+    order, computed once per matroid.
 
     Candidates are the proper nonempty flats together with the sets E - e;
     the latter pick up the trivial facets whose complement closes to E.
+    No other set cuts a facet: if A is no flat, some e outside A is a loop
+    of M/A, which is connected only when E - A = {e}.
     """
     if not m.is_connected():
         raise NotConnectedError("facet analysis needs a connected matroid")
-    full = m.ground.full_mask
-    cands = {f for f in m.flats() if 0 < f < full}
-    cands.update(full & ~(1 << i) for i in range(m.ground.n))
-    out = []
-    for amask in sorted(cands):
-        rep = is_facet_defining_base(m, amask)
-        if rep.facet_of_base:
-            out.append(rep)
-    return out
+    if m._facets is None:
+        full = m.ground.full_mask
+        cands = {f for f in m.flats() if 0 < f < full}
+        cands.update(full & ~(1 << i) for i in range(m.ground.n))
+        reps = (is_facet_defining_base(m, amask) for amask in sorted(cands))
+        m._facets = {(r.flat.mask, r.rank_at_flat): r
+                     for r in reps if r.facet_of_base}
+    return m._facets
+
+
+def is_facet_inequality(m, amask, bound):
+    """Whether (A, bound)<= is facet-defining for B(m): bound is r(A) and
+    the face it cuts is a facet.  For the whole system: an original facet."""
+    if m.rank_of(amask) != bound:
+        return False
+    table = _facet_table(m)
+    if amask == 0 or amask == m.ground.full_mask:
+        raise RankError("candidate set must be nonempty and proper")
+    return (amask, bound) in table
+
+
+def base_facets(m):
+    """All facet-defining inequalities of the base system, in mask order,
+    as a fresh list read off the facet table of m."""
+    return list(_facet_table(m).values())
 
 
 def face_split(m, a):
     """The face on (A, r(A))= as its two factors (restriction, contraction)."""
-    amask = _as_mask(m.ground, a)
+    amask = m.ground.mask(a)
     return m.restrict(amask), m.contract(amask)
 
 

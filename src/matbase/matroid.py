@@ -95,7 +95,7 @@ class Matroid:
     """A matroid stored as its family of bases (masks over a GroundSet)."""
 
     __slots__ = ("ground", "bases", "rank", "_base_set", "_rank_memo", "_flats",
-                 "_components")
+                 "_components", "_facets")
 
     def __init__(self, ground, masks, trusted=False):
         masks = sorted({int(m) for m in masks})
@@ -113,6 +113,7 @@ class Matroid:
         self._rank_memo = {0: 0, ground.full_mask: self.rank}
         self._flats = None
         self._components = None
+        self._facets = None
         if not trusted:
             w = _exchange_witness(self.bases.masks, self._base_set)
             if w is not None:

@@ -15,7 +15,7 @@ from .errors import (ConstraintError, LoopError, NotConnectedError,
                      NotSimpleError, RankError)
 from .setfam import GroundSet, LinearConstraint, bits, ksubsets
 from .matroid import matroid_from_bases, merge_overlapping
-from .facets import is_facet_defining_base, is_facet_inequality
+from .facets import _facet_table, is_facet_inequality
 
 
 def check_rank3_input(m, require_simple=True):
@@ -32,29 +32,24 @@ def check_rank3_input(m, require_simple=True):
 
 
 def facet_rank2_flats(m):
-    """Rank-2 flats of m whose inequality (F,2)<= is facet-defining.
+    """Rank-2 flats of m whose inequality (F,2)<= is facet-defining, in
+    mask order, read off the facet table of m.
 
     For a connected simple rank-3 matroid these are exactly the rank-2
-    flats with at least 3 elements; computed honestly so that nonsimple
-    inputs are handled too.
+    flats with at least 3 elements; the table is exact for nonsimple
+    inputs too.
     """
-    out = []
-    for f in m.flats_of_rank(2):
-        if is_facet_defining_base(m, f).facet_of_base:
-            out.append(f)
-    return out
+    return [f for f, k in _facet_table(m) if k == 2]
 
 
-def facet_graph_components(m, a1mask, a2mask, flats2=None):
+def facet_graph_components(m, a1mask, a2mask):
     """Components of the graph on a2 joining x,y when some facet-defining
     rank-2 flat contains both and meets a1.  Returns (components, edges),
     components as masks covering all of a2 (isolated vertices included),
     edges as pair masks."""
-    if flats2 is None:
-        flats2 = facet_rank2_flats(m)
     edges = set()
     touching = []
-    for f in flats2:
+    for f in facet_rank2_flats(m):
         if not (f & a1mask):
             continue
         inside = f & a2mask
@@ -452,7 +447,7 @@ class _Engine:
                     stack.append(state)
 
 
-def _seeded_state(m, support, constraints, flats2):
+def _seeded_state(m, support, constraints):
     """Initial partition, extra mandatory triples, and cert masks.
 
     Returns None when the constraints are contradictory on their face.
@@ -478,7 +473,7 @@ def _seeded_state(m, support, constraints, flats2):
             cert1.append(a)
             # certified rank-1 flat: each component of the facet graph
             # from a into the rest collapses with a to rank <= 2
-            comps, _ = facet_graph_components(m, a, support & ~a, flats2)
+            comps, _ = facet_graph_components(m, a, support & ~a)
             for comp in comps:
                 for t in ksubsets(a | comp, 3):
                     extra_mandatory.add(t)
@@ -488,7 +483,7 @@ def _seeded_state(m, support, constraints, flats2):
                 extra_mandatory.add(t)
             # certified rank-2 flat: components of the graph into a
             # are parallel classes of the result
-            comps, _ = facet_graph_components(m, support & ~a, a, flats2)
+            comps, _ = facet_graph_components(m, support & ~a, a)
             groups.extend(comps)
     # an empty forced set joins nothing and is no class
     seed = [c for c in merge_overlapping(groups) if c]
@@ -506,19 +501,21 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
     state whose matroid is disconnected, and everything below it.  A
     matroid is built only for a profile that a forbidden entry has to
     inspect.  A require_facet inequality must be facet-defining for the
-    result and not for m; if it is one for m, nothing is yielded and the
-    engine does not run.
+    result and not for m; if it is one for m, or has bound 2 on fewer
+    than 3 support elements, nothing is yielded and the engine does not
+    run.
     """
     ground = m.ground
     if support is None:
         support = ground.full_mask
     if constraints is None:
         constraints = InclusionConstraints()
+    # a facet flat of rank 2 is a long line: 3 or more support elements
     if any(is_facet_inequality(m, c.support, c.bound)
+           or c.bound == 2 and (c.support & support).bit_count() < 3
            for c in constraints.require_facet):
         return
-    flats2 = facet_rank2_flats(m) if constraints.require_facet else None
-    seeded = _seeded_state(m, support, constraints, flats2)
+    seeded = _seeded_state(m, support, constraints)
     if seeded is None:
         return
     seed, extra_mandatory, cert1, cert2 = seeded

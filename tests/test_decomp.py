@@ -275,6 +275,17 @@ def test_verify_decomposition_failures():
     with pytest.raises(GroundMismatchError):
         verify_decomposition(get_example("m2")["M"],
                              [uniform_matroid(3, 5, "vwxyz")] * 2)
+    m = ex["M"]
+    pool = enumerate_included_rank3(m)
+    # two pieces covering B(M) whose common bases are no face of the first
+    rep = verify_decomposition(m, [pool[0], pool[1]])
+    assert not rep.ok and rep.failed == "(c)"
+    assert rep.detail == "pieces 0 and 1 meet in a non-face of piece 0"
+    # pieces that cover, keep the components and meet in faces, with a
+    # non-original facet that no other piece carries reversed
+    rep = verify_decomposition(m, [pool[0], pool[9], pool[11]])
+    assert not rep.ok and rep.failed == "(d)"
+    assert rep.detail == "facet (fg,1) of piece 0 has 0 reversed partners"
 
 
 def test_find_decomposition_seven():

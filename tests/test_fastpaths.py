@@ -1,7 +1,7 @@
 """Fast paths against their definitional twins in util: the bitset
 kernels, the engine's moves, the overlap merge and the census key on
-hypothesis-generated inputs, the face components on every face of a
-small pool, the census key on every family the census enumeration meets
+hypothesis-generated inputs, the face components and the facet table
+on every face of a small pool, the census key on every family the census enumeration meets
 up to seven points, and the profile connectivity rule on every state of
 small searches."""
 
@@ -11,19 +11,24 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from matbase import facets
 from matbase.census import (_candidate_lines, _extensions, canonical_key,
                             census_rank3, iter_line_families,
                             matroid_of_lines)
+from matbase.decomp import classify
 from matbase.errors import ExchangeAxiomError, MatbaseError
 from matbase.examples import example_ids, get_example
-from matbase.facets import is_facet_defining_base, is_facet_inequality
+from matbase.facets import (base_facets, is_facet_defining_base,
+                            is_facet_inequality)
 from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
 from matbase.rank3 import (_Engine, check_rank3_input,
-                           facet_graph_components, search_profiles)
+                           facet_graph_components, facet_rank2_flats,
+                           search_profiles)
 from matbase.setfam import bits, ksubsets
 
 from util import (closure_by_rank, exchange_witness_pairs,
-                  face_components_by_minors, ground, line_key_by_permutations,
+                  face_components_by_minors, facet_inequality_by_report,
+                  facet_rank2_flats_by_reports, ground, line_key_by_permutations,
                   merge_by_union_find, moves_pairwise, normalize_cascade,
                   pool_small, relabel_mask, scan_per_triple, triple_dependent)
 
@@ -213,6 +218,55 @@ def test_components_on_face_match_minors():
         for a in range(1, m.ground.full_mask):
             assert (is_facet_defining_base(m, a).components_on_face
                     == face_components_by_minors(m, a))
+
+
+def test_facet_table_lookup_matches_reports():
+    # every nonempty proper A and every bound of every connected matroid
+    # on <= 6 elements: the table holds each facet, and only facets
+    for m in pool_small(6):
+        if not m.is_connected():
+            continue
+        for a in range(1, m.ground.full_mask):
+            for bound in range(m.rank + 1):
+                assert (is_facet_inequality(m, a, bound)
+                        == facet_inequality_by_report(m, a, bound))
+
+
+def test_facet_rank2_flats_match_reports():
+    # the filter raises RankError on a rank-2 matroid, whose full ground
+    # is its one rank-2 flat, so only the other ranks compare
+    compared = 0
+    for m in pool_small(6):
+        if m.is_connected() and m.rank != 2:
+            assert facet_rank2_flats(m) == facet_rank2_flats_by_reports(m)
+            compared += m.rank == 3
+    assert compared
+
+
+def test_base_facets_list_is_fresh():
+    m = get_example("seven_typed")["M"]
+    first = base_facets(m)
+    kept = list(first)
+    first.clear()
+    assert base_facets(m) == kept and kept
+
+
+def test_classify_tests_each_facet_once(monkeypatch):
+    # the facet table is built once per matroid, so no facet report is
+    # made twice for the same matroid object and mask
+    calls = {}
+    alive = []  # every matroid seen stays alive, so no id is reused
+    report = facets.is_facet_defining_base
+
+    def counted(m, a):
+        alive.append(m)
+        key = (id(m), m.ground.mask(a))
+        calls[key] = calls.get(key, 0) + 1
+        return report(m, a)
+
+    monkeypatch.setattr(facets, "is_facet_defining_base", counted)
+    assert classify(get_example("seven_typed")["M"]).kind == "d"
+    assert calls and max(calls.values()) == 1
 
 
 @given(st.lists(st.integers(0, 255)))

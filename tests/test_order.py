@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from matbase.census import census_rank3
 from matbase.errors import (ConstraintError, GroundMismatchError, LoopError,
                             RankError)
 from matbase.examples import get_example
@@ -260,3 +261,13 @@ def test_require_facet_builds_only_returned_matroids(monkeypatch):
                    for sub in found)
         built += len(found)
         assert counts["builds"] == built
+
+
+def test_short_rank2_facet_skips_the_engine(monkeypatch):
+    # a facet flat of rank 2 is a long line, so a 2-point set is none and
+    # the search over U(3,7) never starts
+    m = census_rank3(7)[0]
+    cons = InclusionConstraints.of(m.ground, require_facet=["{a,b}<=2"])
+    counts = count_searches(monkeypatch)
+    assert enumerate_included_rank3(m, cons) == []
+    assert counts["runs"] == 0

@@ -13,6 +13,7 @@ from matbase import rank3
 from matbase.census import census_rank3
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
+from matbase.facets import is_facet_defining_base
 from matbase.matroid import matroid_from_bases, uniform_matroid
 from matbase.setfam import GroundSet, bits, ksubsets, submasks
 
@@ -178,6 +179,21 @@ def face_components_by_minors(m, amask):
         for cmask in minor.connected_components():
             comps.append(m.ground.mask(minor.ground.labels_of(cmask)))
     return tuple(sorted(comps))
+
+
+def facet_inequality_by_report(m, amask, bound):
+    """Whether (A, bound)<= is facet-defining for B(m), by a fresh facet
+    report on A; the twin of the facet-table lookup
+    facets.is_facet_inequality."""
+    return (m.rank_of(amask) == bound
+            and is_facet_defining_base(m, amask).facet_of_base)
+
+
+def facet_rank2_flats_by_reports(m):
+    """The rank-2 flats whose fresh facet report is a facet; the twin of
+    rank3.facet_rank2_flats."""
+    return [f for f in m.flats_of_rank(2)
+            if is_facet_defining_base(m, f).facet_of_base]
 
 
 def merge_by_union_find(masks):
