@@ -401,7 +401,9 @@ class DecompositionReport:
     piece keeps the component partition, (c) piece pairs intersect in a
     proper face of both and admit a separating hyperplane, (d) every
     piece facet is original or shared, reversed, with exactly one
-    partner."""
+    partner.  For (c) the common bases are a face of a piece when they
+    equal the least face holding them, cut out by the rank inequalities
+    tight on all of them; an empty intersection counts as a face."""
 
     ok: bool
     failed: str | None
@@ -413,61 +415,40 @@ class DecompositionReport:
         return self.ok
 
 
-def _supporting_face(bases, amask):
-    mx = max((b & amask).bit_count() for b in bases)
-    return frozenset(b for b in bases if (b & amask).bit_count() == mx)
-
-
-def _face_by_levels(piece, target):
-    """Exact face test: the faces of a base polytope are the greedy
-    maximizer families over ordered partitions of the ground."""
-    full = piece.ground.full_mask
-    seen = set()
-
-    def rec(cands, remaining):
-        if cands == target:
-            return True
-        if not remaining or not (target <= cands) or (cands, remaining) in seen:
-            return False
-        seen.add((cands, remaining))
-        sub = remaining
-        while True:
-            sub = (sub - 1) & remaining
-            level = remaining & ~sub
-            mx = max((b & level).bit_count() for b in cands)
-            nxt = frozenset(b for b in cands if (b & level).bit_count() == mx)
-            if rec(nxt, remaining & ~level):
-                return True
-            if sub == 0:
-                return False
-
-    return rec(frozenset(piece.bases), full)
-
-
 def _is_proper_face(piece, fam):
     """Whether fam is a proper face of the piece's base polytope; the
-    empty family counts as one."""
-    bases = frozenset(piece.bases)
+    empty family counts as one.
+
+    The least face holding fam is cut out by the inequalities
+    x(A) <= r(A) tight on all of fam (Edmonds 1970): A is tight when
+    every member meets A in the same k elements and no base of the piece
+    meets A in more.  Intersecting the bases with {B : |B & A| = k} over
+    the tight A gives that face, and fam is a face exactly when it is
+    the result.
+    """
+    face = frozenset(piece.bases)
     if not fam:
         return True
-    if fam == bases:
+    if fam == face:
         return False
-    full = piece.ground.full_mask
-    for amask in range(1, full + 1):
-        if _supporting_face(bases, amask) == fam:
-            return True
-    return _face_by_levels(piece, frozenset(fam))
+    first = next(iter(fam))
+    for amask in range(1, piece.ground.full_mask):
+        k = (first & amask).bit_count()
+        if (all((b & amask).bit_count() == k for b in fam)
+                and all((b & amask).bit_count() <= k for b in piece.bases)):
+            face = frozenset(b for b in face if (b & amask).bit_count() == k)
+            if face == fam:
+                return True
+    return False
 
 
 def _separating_hyperplane(ground, ileft, iright):
     """First (A,a)= putting ileft on the <= side and iright on the >=
     side, in (mask, bound) order."""
-    full = ground.full_mask
-    for amask in range(1, full):
-        mx = max((b & amask).bit_count() for b in ileft)
-        mn = min((b & amask).bit_count() for b in iright)
-        if mx <= mn:
-            return LinearConstraint(ground, amask, "==", mx)
+    for amask in range(1, ground.full_mask):
+        a = max((b & amask).bit_count() for b in ileft)
+        if all((b & amask).bit_count() >= a for b in iright):
+            return LinearConstraint(ground, amask, "==", a)
     return None
 
 
@@ -557,11 +538,26 @@ def _build_decomposition(m, pieces):
     return Decomposition(m, tuple(plist), rep.separators, rep.facet_pairs)
 
 
+def _two_split(m):
+    """The verified 2-piece decomposition along the first hyperplane
+    split of B(m), or None when no hyperplane splits it; AssertionError
+    if the two halves fail verify_decomposition."""
+    td = two_decompose(m)
+    if td is None:
+        return None
+    dec = _build_decomposition(m, [td[1], td[2]])
+    if dec is None:
+        raise AssertionError("the split at %s fails verify_decomposition"
+                             % td[0])
+    return dec
+
+
 def find_decomposition_rank3(m, max_pieces=16):
     """Search for a decomposition of a connected simple rank-3 base
     system.
 
-    A successful one-hyperplane split is returned directly.  Otherwise
+    A one-hyperplane split is returned directly, and AssertionError is
+    raised if its halves fail verify_decomposition.  Otherwise
     candidate pieces are the properly included connected base systems;
     any piece of any decomposition carries, for some 3-partition
     {A1,A2,A3} and orientation, both (A1,1)<= and (A1|A2,2)<= as
@@ -577,11 +573,9 @@ def find_decomposition_rank3(m, max_pieces=16):
     """
     _check_max_pieces(max_pieces)
     check_rank3_input(m)
-    td = two_decompose(m)
-    if td is not None:
-        dec = _build_decomposition(m, [td[1], td[2]])
-        if dec is not None:
-            return dec
+    dec = _two_split(m)
+    if dec is not None:
+        return dec
     return _decompose_rank3(m, max_pieces, enumerate_included_rank3(m))
 
 
@@ -688,9 +682,8 @@ def classify(m, max_pieces=16):
         raise NotSimpleError("simplify the matroid first")
     if m.find_u24_minor() is None:
         return MatroidClass("a", CLASS_LABELS["a"])
-    td = two_decompose(m)
-    if td is not None:
-        dec = _build_decomposition(m, [td[1], td[2]])
+    dec = _two_split(m)
+    if dec is not None:
         return MatroidClass("e", CLASS_LABELS["e"], dec)
     if m.rank != 3:
         raise InconclusiveError(

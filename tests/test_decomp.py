@@ -4,8 +4,10 @@ and the small-ground census."""
 
 import pytest
 
+from matbase import decomp
 from matbase.census import census_rank3, neither_binary_nor_two_decomposable
-from matbase.decomp import (CLASS_LABELS, classify, facet_graph,
+from matbase.decomp import (CLASS_LABELS, DecompositionReport,
+                            _is_proper_face, classify, facet_graph,
                             find_decomposition_rank3, propagate,
                             rank3_quick_witnesses, rank3_two_decomposable_by,
                             three_partitions, two_decompose,
@@ -21,7 +23,7 @@ from matbase.rank3 import InclusionConstraints, facet_rank2_flats
 from matbase.setfam import bits, ksubsets, submasks
 
 from util import (count_searches, exchange_ok_brute, ground, pool_rank3,
-                  set_partitions_3, try_matroid)
+                  set_partitions_3, supporting_face, try_matroid)
 
 
 def test_two_decompose_fixture():
@@ -286,6 +288,33 @@ def test_verify_decomposition_failures():
     rep = verify_decomposition(m, [pool[0], pool[9], pool[11]])
     assert not rep.ok and rep.failed == "(d)"
     assert rep.detail == "facet (fg,1) of piece 0 has 0 reversed partners"
+
+
+def test_shared_face_beyond_single_cuts():
+    # pieces 1 and 3 of the (d) witness of census class 19 at n = 7 share
+    # 8 bases that no single tight (A,r(A))= cuts out of either piece;
+    # the inequalities tight on all 8 cut them out together
+    m = census_rank3(7)[19]
+    verdict = classify(m)
+    assert verdict.kind == "d"
+    pieces = verdict.witness.pieces
+    shared = frozenset(pieces[1].bases) & frozenset(pieces[3].bases)
+    assert len(shared) == 8
+    for p in (pieces[1], pieces[3]):
+        bases = frozenset(p.bases)
+        assert all(supporting_face(bases, a) != shared
+                   for a in range(1, m.ground.full_mask + 1))
+        assert _is_proper_face(p, shared)
+    assert verify_decomposition(m, list(pieces)).ok
+
+
+@pytest.mark.parametrize("search", [classify, find_decomposition_rank3])
+def test_two_split_failing_verification_raises(monkeypatch, search):
+    m = next(m for m in census_rank3(6) if classify(m).kind == "e")
+    monkeypatch.setattr(decomp, "verify_decomposition", lambda m, pieces:
+                        DecompositionReport(False, "(c)", "forced failure"))
+    with pytest.raises(AssertionError, match="fails verify_decomposition"):
+        search(m)
 
 
 def test_find_decomposition_seven():

@@ -1,11 +1,14 @@
 """Fast paths against their definitional twins in util: the bitset
 kernels, the engine's moves, the overlap merge and the census key on
 hypothesis-generated inputs, the face components and the facet table
-on every face of a small pool, the census key on every family the census enumeration meets
-up to seven points, and the profile connectivity rule on every state of
-small searches."""
+on every face of a small pool, the face test of verify_decomposition
+against the ordered-partition recursion and the exchange edges, the
+census key on every family the census enumeration meets up to seven
+points, and the profile connectivity rule on every state of small
+searches."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -15,7 +18,7 @@ from matbase import facets
 from matbase.census import (_candidate_lines, _extensions, canonical_key,
                             census_rank3, iter_line_families,
                             matroid_of_lines)
-from matbase.decomp import classify
+from matbase.decomp import _is_proper_face, classify
 from matbase.errors import ExchangeAxiomError, MatbaseError
 from matbase.examples import example_ids, get_example
 from matbase.facets import (base_facets, is_facet_defining_base,
@@ -28,7 +31,8 @@ from matbase.setfam import bits, ksubsets
 
 from util import (closure_by_rank, exchange_witness_pairs,
                   face_components_by_minors, facet_inequality_by_report,
-                  facet_rank2_flats_by_reports, ground, line_key_by_permutations,
+                  facet_rank2_flats_by_reports, ground,
+                  is_proper_face_by_levels, line_key_by_permutations,
                   merge_by_union_find, moves_pairwise, normalize_cascade,
                   pool_small, relabel_mask, scan_per_triple, triple_dependent)
 
@@ -267,6 +271,46 @@ def test_classify_tests_each_facet_once(monkeypatch):
     monkeypatch.setattr(facets, "is_facet_defining_base", counted)
     assert classify(get_example("seven_typed")["M"]).kind == "d"
     assert calls and max(calls.values()) == 1
+
+
+@st.composite
+def piece_families(draw):
+    """A matroid of pool_small(6) with a family of its bases: the face
+    where a random chain of sets is tight, or a random subfamily of it."""
+    m = draw(st.sampled_from(pool_small(6)))
+    n = m.ground.n
+    order = draw(st.permutations(range(n)))
+    fam = frozenset(m.bases)
+    for cut in draw(st.sets(st.integers(1, n))):
+        amask = sum(1 << e for e in order[:cut])
+        fam = frozenset(b for b in fam
+                        if (b & amask).bit_count() == m.rank_of(amask))
+    if draw(st.booleans()):
+        fam = frozenset(draw(st.sets(st.sampled_from(sorted(fam)))))
+    return m, fam
+
+
+@given(piece_families())
+def test_face_test_matches_levels(case):
+    m, fam = case
+    assert _is_proper_face(m, fam) == is_proper_face_by_levels(m, fam)
+
+
+def test_face_test_matches_exchange_edges():
+    # a vertex is a proper face of any polytope with another vertex, and
+    # the edges of a base polytope are the base pairs one exchange apart
+    # (Gelfand, Goresky, MacPherson and Serganova 1987)
+    pairs = edges = 0
+    for m in pool_small(6):
+        bases = m.bases.masks
+        for b in bases:
+            assert _is_proper_face(m, frozenset([b])) == (len(bases) > 1)
+        for b1, b2 in itertools.combinations(bases, 2):
+            edge = (b1 ^ b2).bit_count() == 2 and len(bases) > 2
+            assert _is_proper_face(m, frozenset([b1, b2])) == edge
+            pairs += 1
+            edges += edge
+    assert (pairs, edges) == (4170, 2202)
 
 
 @given(st.lists(st.integers(0, 255)))

@@ -196,6 +196,57 @@ def facet_rank2_flats_by_reports(m):
             if is_facet_defining_base(m, f).facet_of_base]
 
 
+def supporting_face(bases, amask):
+    """The bases meeting A in the most elements: the face of the base
+    polytope where the one inequality x(A) <= r(A) is tight."""
+    mx = max((b & amask).bit_count() for b in bases)
+    return frozenset(b for b in bases if (b & amask).bit_count() == mx)
+
+
+def face_by_levels(piece, target):
+    """Whether target is a face of B(piece): the faces of a base polytope
+    are the greedy maximizer families over ordered partitions of the
+    ground, so this recurses over them, maximizing |B & level| level by
+    level."""
+    full = piece.ground.full_mask
+    seen = set()
+
+    def rec(cands, remaining):
+        if cands == target:
+            return True
+        if not remaining or not (target <= cands) or (cands, remaining) in seen:
+            return False
+        seen.add((cands, remaining))
+        sub = remaining
+        while True:
+            sub = (sub - 1) & remaining
+            level = remaining & ~sub
+            mx = max((b & level).bit_count() for b in cands)
+            nxt = frozenset(b for b in cands if (b & level).bit_count() == mx)
+            if rec(nxt, remaining & ~level):
+                return True
+            if sub == 0:
+                return False
+
+    return rec(frozenset(piece.bases), full)
+
+
+def is_proper_face_by_levels(piece, fam):
+    """Whether fam is a proper face of B(piece), the empty family
+    counting as one: a scan of the supporting faces of single
+    inequalities, then the recursion over ordered partitions; the twin
+    of decomp._is_proper_face."""
+    bases = frozenset(piece.bases)
+    if not fam:
+        return True
+    if fam == bases:
+        return False
+    for amask in range(1, piece.ground.full_mask + 1):
+        if supporting_face(bases, amask) == fam:
+            return True
+    return face_by_levels(piece, frozenset(fam))
+
+
 def merge_by_union_find(masks):
     """Sorted unions of the masks linked by overlap, by a union-find over
     element bits that joins every pair of elements sharing a mask; each
