@@ -51,10 +51,14 @@ def _orient_split(m, amask, a, mlow, mup):
 def two_decompose(m, check=False):
     """First hyperplane (A,a)= splitting B(m) into two base systems.
 
-    Scans all candidates with 0 < a < rank in (mask, bound) order and
+    Scans the candidates with 0 < a < rank in (mask, bound) order and
     returns (hyperplane, lower piece, upper piece) for the first one whose
     closed halves are both base systems and whose strict sides are both
-    nonempty, else None.
+    nonempty, else None.  (A,a)= and (E-A,r-a)= are one hyperplane, with
+    the same cross-section and the same range of a, and every mask that
+    holds the top element comes after its complement.  So the scan stops
+    before the first such mask, and the first hit is the same as over
+    all masks.
 
     A candidate is decided on its cross-section, the bases with
     |B & A| = a.  Every edge of a base polytope is parallel to some
@@ -66,15 +70,15 @@ def two_decompose(m, check=False):
     halves are base polytopes exactly when the cross-section is one.  Only
     the hyperplane that hits builds its halves, each exchange-checked, and
     AssertionError is raised if they disagree with the cross-section.
-    With check=True every candidate builds and checks its halves, under
-    the same assertion.
+    With check=True every mask is scanned, and every candidate builds and
+    checks its halves, under the same assertion.
     """
     if not m.is_connected():
         raise NotConnectedError("2-decomposition needs a connected matroid")
     ground = m.ground
     full = ground.full_mask
     bases = list(m.bases)
-    for amask in range(1, full):
+    for amask in range(1, full if check else 1 << (ground.n - 1)):
         sizes = [(b & amask).bit_count() for b in bases]
         for a in range(max(1, min(sizes) + 1), min(m.rank, max(sizes))):
             cross = [b for b, s in zip(bases, sizes) if s == a]

@@ -6,9 +6,12 @@ components, equivalently when both the restriction to A and the contraction
 by A are connected.  The face is the tight family {B : |B & A| = r(A)},
 which is the base family of M|A direct-sum M/A over the same ground, so
 its components come from that family directly, without building either
-minor.  Connectivity counts every loop and coloop as its own component,
-so the test is pure component counting.  Each matroid's facets are found
-once, into a table that every facet question reads.
+minor.  Connectivity counts every loop and coloop as its own component.
+Each matroid's facets are found once, into a table that every facet
+question reads.  For rank 3 the table is read off the parallel classes
+and long lines (Rank3Profile.facet_keys), and components are counted
+only for the reports base_facets returns; for other ranks the table
+counts the components of every candidate and keeps the reports.
 """
 
 from __future__ import annotations
@@ -84,24 +87,33 @@ def is_facet_defining_base(m, a):
 
 
 def _facet_table(m):
-    """{(flat, rank_at_flat): FacetReport} over the facets of B(m), in mask
-    order, computed once per matroid.
-
-    Candidates are the proper nonempty flats together with the sets E - e;
-    the latter pick up the trivial facets whose complement closes to E.
-    No other set cuts a facet: if A is no flat, some e outside A is a loop
-    of M/A, which is connected only when E - A = {e}.
-    """
+    """{(flat, rank_at_flat): FacetReport or None} over the facets of
+    B(m), in mask order, built once per matroid by _build_facet_table."""
     if not m.is_connected():
         raise NotConnectedError("facet analysis needs a connected matroid")
     if m._facets is None:
-        full = m.ground.full_mask
-        cands = {f for f in m.flats() if 0 < f < full}
-        cands.update(full & ~(1 << i) for i in range(m.ground.n))
-        reps = (is_facet_defining_base(m, amask) for amask in sorted(cands))
-        m._facets = {(r.flat.mask, r.rank_at_flat): r
-                     for r in reps if r.facet_of_base}
+        m._facets = _build_facet_table(m)
     return m._facets
+
+
+def _build_facet_table(m):
+    """The facet table of a connected matroid.
+
+    For rank 3 the keys come from the profile of m and carry no report.
+    Otherwise the candidates are the proper nonempty flats together with
+    the sets E - e, each tested by its report, which the table keeps; the
+    sets E - e pick up the trivial facets whose complement closes to E.
+    No other set cuts a facet: if A is no flat, some e outside A is a loop
+    of M/A, which is connected only when E - A = {e}.
+    """
+    if m.rank == 3:
+        from .rank3 import rank3_profile  # rank3 imports this module
+        return dict.fromkeys(rank3_profile(m).facet_keys())
+    full = m.ground.full_mask
+    cands = {f for f in m.flats() if 0 < f < full}
+    cands.update(full & ~(1 << i) for i in range(m.ground.n))
+    reps = (is_facet_defining_base(m, amask) for amask in sorted(cands))
+    return {(r.flat.mask, r.rank_at_flat): r for r in reps if r.facet_of_base}
 
 
 def is_facet_inequality(m, amask, bound):
@@ -117,8 +129,10 @@ def is_facet_inequality(m, amask, bound):
 
 def base_facets(m):
     """All facet-defining inequalities of the base system, in mask order,
-    as a fresh list read off the facet table of m."""
-    return list(_facet_table(m).values())
+    as a fresh list of reports on the facet table of m; a facet that
+    carries no report gets one here."""
+    return [is_facet_defining_base(m, amask) if rep is None else rep
+            for (amask, _), rep in _facet_table(m).items()]
 
 
 def face_split(m, a):

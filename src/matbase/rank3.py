@@ -8,6 +8,7 @@ raw base families is what keeps exhaustive inclusion questions tractable
 at |E| = 11.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -147,6 +148,31 @@ class Rank3Profile:
                  if c != a and not any(c & l for l in through)]
         return len(through) + len(alone) >= 3
 
+    def facet_keys(self):
+        """The facets of the base system of the connected matroid M of
+        this profile, as (A, r(A)) pairs in mask order.
+
+        (A, r(A))<= is a facet exactly when M|A and M/A are connected
+        (Feichtner and Sturmfels 2005), which for a flat of rank 1 or 2 is
+        is_facet_flat.  A set of rank 3 other than E cuts a facet only as
+        E - e, the bases avoiding e, and does so when M\\e is connected: its
+        classes and long lines are those of M without e, the lines kept
+        while they span three classes.
+        """
+        if not self.is_connected():
+            raise NotConnectedError("facet analysis needs a connected matroid")
+        full = self.ground.full_mask
+        keys = [(c, 1) for c in self.classes if self.is_facet_flat(c, 1)]
+        keys += [(l, 2) for l in self.long_lines]
+        for i in bits(full):
+            rest = full & ~(1 << i)
+            classes = [c & rest for c in self.classes if c & rest]
+            lines = [l & rest for l in self.long_lines
+                     if sum(1 for c in classes if c & l) >= 3]
+            if _connected(rest, rest, classes, lines):
+                keys.append((rest, 3))
+        return sorted(keys)
+
     def dependent_triples(self):
         """Masks of the 3-subsets of the support that are dependent."""
         tri = _Triples(self.support())
@@ -154,11 +180,14 @@ class Rank3Profile:
                                                     self.long_lines)))
 
     def matroid(self):
-        """Reconstruct the matroid; elements outside the support are loops."""
+        """Reconstruct the matroid; elements outside the support are loops.
+        The matroid keeps this profile, which rank3_profile returns."""
         tri = _Triples(self.support())
         dep = tri.dependent(self.classes, self.long_lines)
         every = (1 << len(tri.masks)) - 1
-        return matroid_from_bases(self.ground, tri.masks_of(every & ~dep))
+        mat = matroid_from_bases(self.ground, tri.masks_of(every & ~dep))
+        mat._profile = self
+        return mat
 
     def show(self):
         cl = ",".join("{%s}" % ",".join(self.ground.labels_of(c))
@@ -214,18 +243,30 @@ class _Triples:
 
 
 def rank3_profile(m):
-    """Normal form of a loopless rank-3 matroid."""
+    """Normal form of a loopless rank-3 matroid, computed once per
+    matroid; a matroid built by Rank3Profile.matroid() has it already.
+
+    The rank-2 flat through classes a and b holds every class c with
+    {a', b', c'} no base, for one element a', b', c' of each, so the
+    long lines come from the bases without listing the flats.
+    """
     if m.rank != 3:
         raise RankError("profile requires rank 3, got %d" % m.rank)
     if m.loops():
         raise LoopError("profile requires a loopless matroid")
-    classes = tuple(sorted(m.parallel_classes()))
-    lines = []
-    for f in m.flats_of_rank(2):
-        spanned = sum(1 for c in classes if c & f)
-        if spanned >= 3:
-            lines.append(f)
-    return Rank3Profile(m.ground, classes, tuple(sorted(lines)))
+    if m._profile is None:
+        classes = tuple(sorted(m.parallel_classes()))
+        reps = [c & -c for c in classes]
+        lines = set()
+        for (a, ra), (b, rb) in itertools.combinations(zip(classes, reps), 2):
+            line = a | b
+            for c, rc in zip(classes, reps):
+                if c != a and c != b and not m.is_base(ra | rb | rc):
+                    line |= c
+            if line != a | b:
+                lines.add(line)
+        m._profile = Rank3Profile(m.ground, classes, tuple(sorted(lines)))
+    return m._profile
 
 
 @dataclass(frozen=True)
@@ -273,10 +314,11 @@ class _Engine:
     branching on the first uncovered triple whose group (the classes it
     meets) has the fewest moves; the moves are counted for every
     uncovered triple and built for that one alone.  Grow phase then
-    takes every move over all classes.  States normalize by absorbing
-    classes into touching lines, dropping lines down to <= 2 classes,
-    and merging lines that share >= 2 classes.  Dependencies only grow
-    along any move, so upper-bound violations prune permanently.
+    takes every move over all classes.  A normalized state has every
+    line a union of >= 3 classes, and no two lines sharing >= 2 classes;
+    _child keeps that form from one state to the next, re-normalizing
+    only the lines that meet the move.  Dependencies only grow along any
+    move, so upper-bound violations prune permanently.
 
     mandatory and dep_max are _Triples bitsets over the support.  Moves
     are made only from a popped state that _scan found alive, whose
@@ -305,48 +347,6 @@ class _Engine:
         self.mandatory_bits = self.tri.bitset(mandatory)
         self.dep_max_bits = (None if dep_max is None
                              else self.tri.bitset(dep_max))
-
-    def _normalize(self, classes, lines):
-        """Canonical state, or None when provably dead.
-
-        Classes never change here, and a line absorbs exactly the classes
-        it meets, so each line is read as the bitmask of the indices of
-        those classes, kept beside their union.  Masks of fewer than 3
-        classes are dropped, then two masks sharing >= 2 classes are
-        merged until no pair does; the result does not depend on the
-        order of the merges, since each merge is forced in every outcome.
-        A mask of every class is a rank-2 state, which is dead.
-        """
-        if len(classes) < 3:
-            return None
-        every = (1 << len(classes)) - 1
-        masks = []
-        unions = []
-        for l in lines:
-            m = 0
-            whole = 0
-            for k, c in enumerate(classes):
-                if c & l:
-                    m |= 1 << k
-                    whole |= c
-            if m.bit_count() < 3:
-                continue
-            k = 0
-            while k < len(masks):
-                if (m & masks[k]).bit_count() >= 2:
-                    m |= masks.pop(k)
-                    whole |= unions.pop(k)
-                    k = 0
-                else:
-                    k += 1
-            if m == every:
-                return None  # all classes collinear, rank <= 2
-            masks.append(m)
-            unions.append(whole)
-        lines = unions
-        if not self._guards_ok(classes, lines):
-            return None
-        return tuple(sorted(classes)), tuple(sorted(lines))
 
     def _guards_ok(self, classes, lines):
         # certified flats must remain unions of classes in the end
@@ -393,29 +393,61 @@ class _Engine:
                 out.append(lmask)
         return out
 
-    @staticmethod
-    def _children(classes, lines, picks):
-        """The unnormalized child of a state for each pick."""
-        out = []
-        for pick in picks:
-            if isinstance(pick, tuple):
-                a, b = pick
-                out.append(([c for c in classes if c != a and c != b]
-                            + [a | b], list(lines)))
-            else:
-                out.append((list(classes), list(lines) + [pick]))
-        return out
+    def _child(self, classes, lines, pick):
+        """The normalized child of a normalized state for one of its
+        picks, or None when the child is dead.
 
-    def _moves(self, classes, lines, group):
-        """Unnormalized children of a live state over a sorted group of
-        its classes, one for each of its _picks."""
-        return self._children(classes, lines, self._picks(lines, group))
+        Each line of the state is a union of >= 3 classes, and two lines
+        share at most one class.  Merging a and b into c changes only the
+        lines that meet c: each absorbs c, and the one line, if any, that
+        held both a and b drops out when c and one more class are all it
+        has left.  A new line changes no other line.  The changed lines
+        then go back one at a time, each merged with every line it shares
+        >= 2 classes with until it shares no more; as lines are unions of
+        classes, two share >= 2 exactly when they meet in more than one
+        class.  Each merge is forced in every outcome, so the result does
+        not depend on their order.  Fewer than three classes, or a line of
+        every class, is a rank-2 state, which is dead.
+        """
+        if isinstance(pick, tuple):
+            a, b = pick
+            c = a | b
+            classes = list(classes)
+            classes.remove(a)
+            classes.remove(b)
+            bisect.insort(classes, c)
+            if len(classes) < 3:
+                return None
+            kept, fresh = [], []
+            for l in lines:
+                if not l & c:
+                    kept.append(l)
+                elif l & ~c not in classes:
+                    fresh.append(l | c)
+        else:
+            kept, fresh = list(lines), [pick]
+        for l in fresh:
+            k = 0
+            while k < len(kept):
+                common = kept[k] & l
+                if common and common not in classes:
+                    l |= kept.pop(k)
+                    k = 0
+                else:
+                    k += 1
+            if l == self.support:
+                return None  # all classes collinear, rank <= 2
+            kept.append(l)
+        if not self._guards_ok(classes, kept):
+            return None
+        return tuple(classes), tuple(sorted(kept))
 
-    def run(self, seed_classes, seed_lines):
+    def run(self, seed_classes):
         """Yield every normalized reachable state with mandatory covered
-        (and, with full, connected)."""
-        start = self._normalize(seed_classes, seed_lines)
-        if start is None:
+        (and, with full, connected), starting from the seed classes with
+        no lines."""
+        start = (tuple(sorted(seed_classes)), ())
+        if len(start[0]) < 3 or not self._guards_ok(*start):
             return
         seen = {start}
         stack = [start]
@@ -436,12 +468,12 @@ class _Engine:
                         best = picks
                         if not picks:
                             break
-                kids = self._children(classes, lines, best)
+                picks = best
             else:
                 yield classes, lines
-                kids = self._moves(classes, lines, classes)
-            for nc, nl in kids:
-                state = self._normalize(nc, nl)
+                picks = self._picks(lines, classes)
+            for pick in picks:
+                state = self._child(classes, lines, pick)
                 if state is not None and state not in seen:
                     seen.add(state)
                     stack.append(state)
@@ -526,7 +558,7 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
             return
     engine = _Engine(support, mandatory, dep_max, cert1, cert2,
                      ground.full_mask if connected_only else None)
-    for classes, lines in engine.run(seed, ()):
+    for classes, lines in engine.run(seed):
         profile = Rank3Profile(ground, classes, lines)
         if _finalize_ok(profile, constraints):
             yield profile

@@ -1,7 +1,9 @@
 """Fast paths against their definitional twins in util: the bitset
-kernels, the engine's moves, the overlap merge and the census key on
-hypothesis-generated inputs, the face components and the facet table
-on every face of a small pool, the face test of verify_decomposition
+kernels, the engine's moves and its incremental normalization, the
+overlap merge and the census key on hypothesis-generated inputs, the
+face components and the facet table on every face of a small pool, the
+rank-3 profile and facet rule and the half hyperplane scan on the
+census up to eight points, the face test of verify_decomposition
 against the ordered-partition recursion and the exchange edges, the
 census key on every family the census enumeration meets up to seven
 points, and the profile connectivity rule on every state of small
@@ -10,6 +12,7 @@ searches."""
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,23 +21,26 @@ from matbase import facets
 from matbase.census import (_candidate_lines, _extensions, canonical_key,
                             census_rank3, iter_line_families,
                             matroid_of_lines)
-from matbase.decomp import _is_proper_face, classify
+from matbase.decomp import _is_proper_face, classify, two_decompose
 from matbase.errors import ExchangeAxiomError, MatbaseError
 from matbase.examples import example_ids, get_example
 from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
 from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
-from matbase.rank3 import (_Engine, check_rank3_input,
+from matbase.rank3 import (Rank3Profile, _Engine, check_rank3_input,
                            facet_graph_components, facet_rank2_flats,
-                           search_profiles)
+                           rank3_profile, search_profiles)
 from matbase.setfam import bits, ksubsets
 
-from util import (closure_by_rank, exchange_witness_pairs,
+from util import (children, closure_by_rank, exchange_witness_pairs,
                   face_components_by_minors, facet_inequality_by_report,
+                  facet_reports_by_counting,
                   facet_rank2_flats_by_reports, ground,
                   is_proper_face_by_levels, line_key_by_permutations,
-                  merge_by_union_find, moves_pairwise, normalize_cascade,
-                  pool_small, relabel_mask, scan_per_triple, triple_dependent)
+                  merge_by_union_find, moves_pairwise, normalize_by_masks,
+                  normalize_cascade, pool_rank3, pool_small,
+                  rank3_profile_by_flats, relabel_mask,
+                  scan_per_triple, triple_dependent)
 
 
 @st.composite
@@ -134,32 +140,39 @@ def test_moves_match_pairwise_rules(case):
         alive, uncovered = engine._scan(classes, lines)
         if not alive:
             continue
-        assert engine._moves(classes, lines, classes) == moves_pairwise(
-            support, bound, classes, lines)
+        assert children(classes, lines, engine._picks(
+            lines, classes)) == moves_pairwise(support, bound, classes, lines)
         for t in uncovered:
             group = [c for c in classes if c & t]
-            assert engine._moves(classes, lines, group) == moves_pairwise(
-                support, bound, classes, lines, t)
+            assert children(classes, lines, engine._picks(
+                lines, group)) == moves_pairwise(
+                    support, bound, classes, lines, t)
 
 
-def normalize_inputs(case, rng):
-    """Unnormalized states on the support of a drawn case, each with an
-    engine to normalize it: the drawn state, the drawn classes with up
-    to three raw lines (any masks of at least two elements, not unions
-    of classes), and every child _moves makes of either one with no
-    bound, over all classes and over the classes each mandatory triple
-    meets.  Half the time the engine also guards random certified flats
-    of rank 1 and 2."""
-    engine, mandatory, _, classes, lines = case
-    support = engine.support
-    elems = list(bits(support))
+def random_certs(elems, rng):
+    """(cert1, cert2): half the time up to one random certified flat of
+    rank 1 and up to two of rank 2 over the elements, else none."""
     cert1 = cert2 = ()
     if rng.random() < 0.5:
         cert1 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
             1, 2))) for _ in range(rng.randint(0, 1)))
         cert2 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
             2, len(elems)))) for _ in range(rng.randint(0, 2)))
-    engine = _Engine(support, mandatory, None, cert1, cert2)
+    return cert1, cert2
+
+
+def normalize_inputs(case, rng):
+    """Unnormalized states on the support of a drawn case, each with an
+    engine to normalize it: the drawn state, the drawn classes with up
+    to three raw lines (any masks of at least two elements, not unions
+    of classes), and the child of every pick of either one with no
+    bound, over all classes and over the classes each mandatory triple
+    meets.  Half the time the engine also guards random certified flats
+    of rank 1 and 2."""
+    engine, mandatory, _, classes, lines = case
+    support = engine.support
+    elems = list(bits(support))
+    engine = _Engine(support, mandatory, None, *random_certs(elems, rng))
     raw = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
         2, len(elems)))) for _ in range(rng.randint(1, 3)))
     for state in ((classes, lines), (classes, raw)):
@@ -167,14 +180,14 @@ def normalize_inputs(case, rng):
         groups = [list(classes)] + [[c for c in classes if c & t]
                                     for t in sorted(mandatory)]
         for group in groups:
-            for kid in engine._moves(state[0], state[1], group):
+            for kid in children(*state, engine._picks(state[1], group)):
                 yield engine, kid
 
 
 @given(engine_states(), st.randoms(use_true_random=True))
 def test_normalize_matches_cascade(case, rng):
     for engine, (classes, lines) in normalize_inputs(case, rng):
-        assert (engine._normalize(classes, lines)
+        assert (normalize_by_masks(engine, classes, lines)
                 == normalize_cascade(engine, classes, lines))
 
 
@@ -186,12 +199,63 @@ def test_normalize_matches_cascade_dead_and_kept():
         rng = random.Random(seed)
         case = random_engine_state(rng)
         for engine, (classes, lines) in normalize_inputs(case, rng):
-            got = engine._normalize(classes, lines)
+            got = normalize_by_masks(engine, classes, lines)
             assert got == normalize_cascade(engine, classes, lines)
             dead += got is None
             kept += got is not None
             ragged += any(c & l and c & ~l for c in classes for l in lines)
     assert dead and kept and ragged
+
+
+def child_inputs(case, rng):
+    """(engine, parent, pick) for the drawn state normalized by the
+    cascade, if it lives, and each of its picks with no bound, over all
+    classes and over the classes each mandatory triple meets.  Half the
+    time the engine also guards random certified flats."""
+    engine, mandatory, _, classes, lines = case
+    support = engine.support
+    engine = _Engine(support, mandatory, None,
+                     *random_certs(list(bits(support)), rng))
+    parent = normalize_cascade(engine, classes, lines)
+    if parent is None:
+        return
+    groups = [parent[0]] + [[c for c in parent[0] if c & t]
+                            for t in sorted(mandatory)]
+    for group in groups:
+        for pick in engine._picks(parent[1], group):
+            yield engine, parent, pick
+
+
+@given(engine_states(), st.randoms(use_true_random=True))
+def test_child_matches_cascade(case, rng):
+    for engine, (classes, lines), pick in child_inputs(case, rng):
+        assert engine._child(classes, lines, pick) == normalize_cascade(
+            engine, *children(classes, lines, [pick])[0])
+
+
+def test_child_matches_cascade_dead_dropped_and_merged():
+    # the same comparison over fixed seeds, which must meet children
+    # dead with all classes on one line, merges that leave a line two
+    # classes, and children whose lines merge at least twice
+    dead = dropped = merged = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        case = random_engine_state(rng)
+        for engine, (classes, lines), pick in child_inputs(case, rng):
+            kid = children(classes, lines, [pick])[0]
+            got = engine._child(classes, lines, pick)
+            assert got == normalize_cascade(engine, *kid)
+            unguarded = normalize_cascade(_Engine(engine.support, ()), *kid)
+            dead += len(kid[0]) >= 3 and unguarded is None
+            drop = 0
+            if isinstance(pick, tuple):
+                c = pick[0] | pick[1]
+                drop = sum(l & c == c and l & ~c in kid[0] for l in lines)
+            dropped += drop
+            if unguarded is not None:
+                merges = len(kid[1]) - drop - len(unguarded[1])
+                merged += merges >= 2
+    assert dead and dropped and merged
 
 
 def test_closure_matches_rank_definition_on_pool():
@@ -256,21 +320,80 @@ def test_base_facets_list_is_fresh():
 
 
 def test_classify_tests_each_facet_once(monkeypatch):
-    # the facet table is built once per matroid, so no facet report is
-    # made twice for the same matroid object and mask
-    calls = {}
+    # the facet table is built at most once per matroid object, and a
+    # pool matroid reads it off the profile it came from, not its flats
+    builds = Counter()
     alive = []  # every matroid seen stays alive, so no id is reused
-    report = facets.is_facet_defining_base
+    pool = []
+    build, make = facets._build_facet_table, Rank3Profile.matroid
 
-    def counted(m, a):
+    def counted(m):
         alive.append(m)
-        key = (id(m), m.ground.mask(a))
-        calls[key] = calls.get(key, 0) + 1
-        return report(m, a)
+        builds[id(m)] += 1
+        return build(m)
 
-    monkeypatch.setattr(facets, "is_facet_defining_base", counted)
+    def tracked(profile):
+        mat = make(profile)
+        pool.append(mat)
+        return mat
+
+    monkeypatch.setattr(facets, "_build_facet_table", counted)
+    monkeypatch.setattr(Rank3Profile, "matroid", tracked)
     assert classify(get_example("seven_typed")["M"]).kind == "d"
-    assert calls and max(calls.values()) == 1
+    assert builds and max(builds.values()) == 1
+    tabled = [m for m in pool if id(m) in builds]
+    assert tabled and all(m._flats is None for m in tabled)
+
+
+@functools.lru_cache(maxsize=None)
+def rank3_facet_inputs():
+    """The census classes up to eight points, both halves of each one's
+    2-split, and the connected non-simple rank-3 matroids of
+    pool_rank3."""
+    out = []
+    for n in range(4, 9):
+        for m in census_rank3(n):
+            out.append(m)
+            split = two_decompose(m)
+            if split is not None:
+                out += split[1:]
+    out += [m for m in pool_rank3(6, connected_only=True)
+            if any(c.bit_count() > 1 for c in m.parallel_classes())]
+    return tuple(out)
+
+
+def test_rank3_profile_matches_flats():
+    for m in rank3_facet_inputs():
+        assert rank3_profile(m) == rank3_profile_by_flats(m)
+
+
+def test_rank3_facet_rule_matches_counting():
+    # the table read off the profile against a component count on every
+    # candidate, and whole base_facets reports up to seven points
+    inputs = rank3_facet_inputs()
+    nonsimple = reports = 0
+    for m in inputs:
+        counted = facet_reports_by_counting(m)
+        assert list(facets._facet_table(m)) == list(counted)
+        nonsimple += any(c.bit_count() > 1 for c in m.parallel_classes())
+        if m.ground.n <= 7:
+            assert base_facets(m) == list(counted.values())
+            reports += 1
+    assert nonsimple and reports < len(inputs)
+
+
+def test_half_scan_matches_full_scan():
+    # the first split over half the masks is the first over all of them,
+    # on connected matroids up to six points and on the rank-4 and rank-5
+    # duals of the census classes on seven and eight points
+    inputs = [m for m in pool_small(6) if m.is_connected()]
+    inputs += [m.dual() for n in (7, 8) for m in census_rank3(n)]
+    splits = 0
+    for m in inputs:
+        got = two_decompose(m)
+        assert got == two_decompose(m, check=True)
+        splits += got is not None
+    assert 0 < splits < len(inputs)
 
 
 @st.composite
@@ -414,7 +537,7 @@ def test_profile_flat_and_facet_rules_match_matroid():
             if not profile.is_connected():
                 continue
             for f in flats:
-                facet = is_facet_inequality(mat, f, k)
+                facet = facet_inequality_by_report(mat, f, k)
                 assert profile.is_facet_flat(f, k) == facet
                 facets += facet
     assert facets

@@ -84,7 +84,8 @@ def normalize_cascade(engine, classes, lines):
     """An _Engine state normalized by the cascade, or None when dead:
     lines absorb every class they meet, lines meeting <= 2 classes are
     dropped, and two lines sharing >= 2 whole classes are merged, over
-    and over until nothing changes.  The twin of _Engine._normalize."""
+    and over until nothing changes.  The twin of normalize_by_masks and
+    of _Engine._child."""
     classes = list(classes)
     lines = list(lines)
     while True:
@@ -120,12 +121,70 @@ def normalize_cascade(engine, classes, lines):
     return tuple(sorted(classes)), tuple(sorted(lines))
 
 
+def normalize_by_masks(engine, classes, lines):
+    """An _Engine state normalized from scratch, or None when dead; it
+    takes any lines, not only unions of classes, and checks
+    normalize_cascade on them.
+
+    Classes never change here, and a line absorbs exactly the classes
+    it meets, so each line is read as the bitmask of the indices of
+    those classes, kept beside their union.  Masks of fewer than 3
+    classes are dropped, then two masks sharing >= 2 classes are
+    merged until no pair does.  A mask of every class is a rank-2
+    state, which is dead.
+    """
+    if len(classes) < 3:
+        return None
+    every = (1 << len(classes)) - 1
+    masks = []
+    unions = []
+    for l in lines:
+        m = 0
+        whole = 0
+        for k, c in enumerate(classes):
+            if c & l:
+                m |= 1 << k
+                whole |= c
+        if m.bit_count() < 3:
+            continue
+        k = 0
+        while k < len(masks):
+            if (m & masks[k]).bit_count() >= 2:
+                m |= masks.pop(k)
+                whole |= unions.pop(k)
+                k = 0
+            else:
+                k += 1
+        if m == every:
+            return None
+        masks.append(m)
+        unions.append(whole)
+    if not engine._guards_ok(classes, unions):
+        return None
+    return tuple(sorted(classes)), tuple(sorted(unions))
+
+
+def children(classes, lines, picks):
+    """The unnormalized child of an _Engine state for each of its picks:
+    a merge of classes a and b puts a | b last, a new line goes last."""
+    out = []
+    for pick in picks:
+        if isinstance(pick, tuple):
+            a, b = pick
+            out.append(([c for c in classes if c != a and c != b]
+                        + [a | b], list(lines)))
+        else:
+            out.append((list(classes), list(lines) + [pick]))
+    return out
+
+
 def moves_pairwise(support, dep_max, classes, lines, t=None):
     """Children of a live _Engine state by the pairwise rules: merging
     classes c1 and c2 is allowed when every triple through an element of
     each lies in dep_max, and a line when all its 3-subsets do.  With a
     triple t, the moves of the three classes it meets, as the cover phase
-    made them; without, every grow move.  The twin of _Engine._moves."""
+    made them; without, every grow move.  The twin of the children of
+    _Engine._picks."""
     pair_ok = None
     if dep_max is not None:
         pair_ok = {pair: all((pair | 1 << i) in dep_max
@@ -179,6 +238,28 @@ def face_components_by_minors(m, amask):
         for cmask in minor.connected_components():
             comps.append(m.ground.mask(minor.ground.labels_of(cmask)))
     return tuple(sorted(comps))
+
+
+def facet_reports_by_counting(m):
+    """{(flat, rank_at_flat): FacetReport} over the facets of B(m) of a
+    connected m, in mask order, by a component count on every proper
+    nonempty flat and every set E - e.  The twin of the rank-3 facet
+    table (Rank3Profile.facet_keys) and of base_facets."""
+    full = m.ground.full_mask
+    cands = {f for f in m.flats() if 0 < f < full}
+    cands.update(full & ~(1 << i) for i in range(m.ground.n))
+    reps = (is_facet_defining_base(m, amask) for amask in sorted(cands))
+    return {(r.flat.mask, r.rank_at_flat): r for r in reps if r.facet_of_base}
+
+
+def rank3_profile_by_flats(m):
+    """The profile of a loopless rank-3 matroid with its long lines taken
+    from the rank-2 flats that span three or more classes; the twin of
+    rank3.rank3_profile."""
+    classes = tuple(sorted(m.parallel_classes()))
+    lines = [f for f in m.flats_of_rank(2)
+             if sum(1 for c in classes if c & f) >= 3]
+    return rank3.Rank3Profile(m.ground, classes, tuple(sorted(lines)))
 
 
 def facet_inequality_by_report(m, amask, bound):
