@@ -48,7 +48,24 @@ def _orient_split(m, amask, a, mlow, mup):
     return LinearConstraint(m.ground, amask, "==", a), mlow, mup
 
 
-def two_decompose(m, check=False):
+def _cross_section_splits(bases, sizes, a):
+    """Whether (A,a)= splits the base system with these bases, given
+    sizes, the |B & A| of each base, on both sides of a.
+
+    Every edge of a base polytope is parallel to some e_i - e_j
+    (Gelfand, Goresky, MacPherson and Serganova 1987), so |B & A|
+    changes by at most one along an edge.  Hence the cross-section
+    {B : |B & A| = a} is nonempty once both strict sides are, each
+    closed half has exactly the bases on its side as vertices, and every
+    edge of a half is an edge of the whole polytope or of the
+    cross-section, its face on the hyperplane: both halves are base
+    polytopes exactly when the cross-section is one.
+    """
+    cross = [b for b, s in zip(bases, sizes) if s == a]
+    return bool(cross) and _exchange_witness(cross, frozenset(cross)) is None
+
+
+def two_decompose(m):
     """First hyperplane (A,a)= splitting B(m) into two base systems.
 
     Scans the candidates with 0 < a < rank in (mask, bound) order and
@@ -60,58 +77,38 @@ def two_decompose(m, check=False):
     before the first such mask, and the first hit is the same as over
     all masks.
 
-    A candidate is decided on its cross-section, the bases with
-    |B & A| = a.  Every edge of a base polytope is parallel to some
-    e_i - e_j (Gelfand, Goresky, MacPherson and Serganova 1987), so
-    |B & A| changes by at most one along an edge.  Hence the cross-section
-    is nonempty once both strict sides are, each closed half has exactly
-    the bases on its side as vertices, and every edge of a half is an edge
-    of B(m) or of the cross-section, its face on the hyperplane: both
-    halves are base polytopes exactly when the cross-section is one.  Only
-    the hyperplane that hits builds its halves, each exchange-checked, and
-    AssertionError is raised if they disagree with the cross-section.
-    With check=True every mask is scanned, and every candidate builds and
-    checks its halves, under the same assertion.
+    A candidate is decided on its cross-section (_cross_section_splits).
+    Only the hyperplane that hits builds its halves, each
+    exchange-checked, and AssertionError is raised if a half fails.
     """
     if not m.is_connected():
         raise NotConnectedError("2-decomposition needs a connected matroid")
     ground = m.ground
-    full = ground.full_mask
     bases = list(m.bases)
-    for amask in range(1, full if check else 1 << (ground.n - 1)):
+    for amask in range(1, 1 << (ground.n - 1)):
         sizes = [(b & amask).bit_count() for b in bases]
-        for a in range(max(1, min(sizes) + 1), min(m.rank, max(sizes))):
-            cross = [b for b, s in zip(bases, sizes) if s == a]
-            hit = bool(cross) and _exchange_witness(cross, frozenset(cross)) is None
-            if not (hit or check):
+        for a in range(min(sizes) + 1, max(sizes)):
+            if not _cross_section_splits(bases, sizes, a):
                 continue
             mlow = _half_matroid(ground, [b for b, s in zip(bases, sizes) if s <= a])
             mup = _half_matroid(ground, [b for b, s in zip(bases, sizes) if s >= a])
-            halves = mlow is not None and mup is not None
-            if halves != hit:
+            if mlow is None or mup is None:
                 raise AssertionError(
-                    "split criteria disagree at (%s,%d): halves %s, "
-                    "cross-section %s" % (ground.show(amask), a, halves, hit))
-            if hit:
-                return _orient_split(m, amask, a, mlow, mup)
+                    "the cross-section at (%s,%d) is a base system but a "
+                    "half is not" % (ground.show(amask), a))
+            return _orient_split(m, amask, a, mlow, mup)
     return None
 
 
 def rank3_two_decomposable_by(m, a):
     """Whether (a,2)= splits the base system of a connected simple rank-3
-    matroid: the complement keeps two elements, a has rank 3, and every
-    facet rank-2 flat meets a in at most one element, lies inside a, or
-    fills the ground together with a."""
+    matroid: both strict sides are nonempty and the cross-section is a
+    base system (_cross_section_splits)."""
     check_rank3_input(m)
     amask = m.ground.mask(a)
-    full = m.ground.full_mask
-    if (full & ~amask).bit_count() < 2 or m.rank_of(amask) != 3:
-        return False
-    for f in facet_rank2_flats(m):
-        if (f & amask).bit_count() <= 1 or not (f & ~amask) or (amask | f) == full:
-            continue
-        return False
-    return True
+    bases = m.bases.masks
+    sizes = [(b & amask).bit_count() for b in bases]
+    return min(sizes) < 2 < max(sizes) and _cross_section_splits(bases, sizes, 2)
 
 
 @dataclass(frozen=True)
@@ -682,7 +679,7 @@ def classify(m, max_pieces=16):
     _check_max_pieces(max_pieces)
     if not m.is_connected():
         raise NotConnectedError("classification needs a connected matroid")
-    if m.loops() or any(c.bit_count() > 1 for c in m.parallel_classes()):
+    if not m.is_simple():
         raise NotSimpleError("simplify the matroid first")
     if m.find_u24_minor() is None:
         return MatroidClass("a", CLASS_LABELS["a"])

@@ -94,29 +94,26 @@ def family_components(full, masks, base_set):
 class Matroid:
     """A matroid stored as its family of bases (masks over a GroundSet)."""
 
-    __slots__ = ("ground", "bases", "rank", "_base_set", "_rank_memo", "_flats",
+    __slots__ = ("ground", "bases", "rank", "_rank_memo", "_flats",
                  "_components", "_facets", "_profile")
 
     def __init__(self, ground, masks, trusted=False):
-        masks = sorted({int(m) for m in masks})
-        if not masks:
+        bases = SetFamily(ground, masks)
+        if not bases.masks:
             raise EmptyFamilyError("a matroid needs at least one base")
-        for m in masks:
-            ground.check_mask(m)
-        sizes = {m.bit_count() for m in masks}
+        sizes = {m.bit_count() for m in bases.masks}
         if len(sizes) != 1:
             raise MixedCardinalityError("bases of mixed sizes %s" % sorted(sizes))
         self.ground = ground
-        self.bases = SetFamily(ground, masks)
+        self.bases = bases
         self.rank = sizes.pop()
-        self._base_set = frozenset(masks)
         self._rank_memo = {0: 0, ground.full_mask: self.rank}
         self._flats = None
         self._components = None
         self._facets = None
         self._profile = None
         if not trusted:
-            w = _exchange_witness(self.bases.masks, self._base_set)
+            w = _exchange_witness(bases.masks, bases._set)
             if w is not None:
                 b1, b2, x = w
                 raise ExchangeAxiomError(
@@ -139,7 +136,7 @@ class Matroid:
         return any(b & mask == mask for b in self.bases.masks)
 
     def is_base(self, mask):
-        return mask in self._base_set
+        return mask in self.bases._set
 
     def closure_of(self, mask):
         """cl(X) = E - (U - X), U the union of the bases B with
@@ -218,6 +215,11 @@ class Matroid:
                     out.append(m)
         return tuple(sorted(out))
 
+    def is_simple(self):
+        """No loops and no two parallel elements."""
+        return not self.loops() and all(
+            c.bit_count() == 1 for c in self.parallel_classes())
+
     def parallel_classes(self):
         """Rank-1 closures of the non-loop elements, each class once."""
         seen = set()
@@ -237,7 +239,7 @@ class Matroid:
         """
         if self._components is None:
             self._components = family_components(
-                self.ground.full_mask, self.bases.masks, self._base_set)
+                self.ground.full_mask, self.bases.masks, self.bases._set)
         return self._components
 
     def is_connected(self):
@@ -384,7 +386,7 @@ def are_isomorphic(m1, m2):
     db1, db2 = degs(m2)
     if sorted(da1) != sorted(db1):
         return False
-    target = m2._base_set
+    target = m2.bases._set
     img = [-1] * n
     used = [False] * n
 

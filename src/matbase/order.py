@@ -12,26 +12,16 @@ __all__ = [
 ]
 
 
-def weak_leq(m2, m1, check=False):
+def weak_leq(m2, m1):
     """True when B(m2) is contained in B(m1).
 
-    Requires equal ground sets and equal rank.  With check=True the rank
-    dominance criterion r2(A) <= r1(A) for all A is evaluated as well and
-    must agree with the inclusion answer.
+    Requires equal ground sets and equal rank.
     """
     if m2.ground != m1.ground:
         raise GroundMismatchError("weak_leq needs a common ground set")
     if m2.rank != m1.rank:
         raise RankError("weak_leq compares matroids of equal rank")
-    included = m2.bases.issubset(m1.bases)
-    if check:
-        dominated = all(m2.rank_of(a) <= m1.rank_of(a)
-                        for a in submasks(m1.ground.full_mask))
-        if dominated != included:
-            raise AssertionError(
-                "rank dominance and base inclusion disagree: %r vs %r"
-                % (dominated, included))
-    return included
+    return m2.bases.issubset(m1.bases)
 
 
 def _dependent_triples(m):
@@ -73,16 +63,12 @@ def _first_included(m):
     return next(iter_included_rank3(m), None)
 
 
-def is_weak_minimal_rank3(m, check=False):
+def is_weak_minimal_rank3(m):
     """No connected matroid base system sits properly inside B(m).
 
-    Binary matroids short-circuit to True; check=True runs the enumerator
-    anyway and asserts agreement.
+    Binary matroids short-circuit to True.
     """
-    minimal = _first_included(m) is None
-    if check:
-        assert minimal == (next(iter_included_rank3(m), None) is None)
-    return minimal
+    return _first_included(m) is None
 
 
 def no_strict_intermediate_rank3(m_low, m_high):

@@ -27,8 +27,7 @@ def check_rank3_input(m, require_simple=True):
         raise RankError("expected rank 3, got %d" % m.rank)
     if not m.is_connected():
         raise NotConnectedError("input must be connected")
-    if require_simple and (m.loops() or any(
-            c.bit_count() > 1 for c in m.parallel_classes())):
+    if require_simple and not m.is_simple():
         raise NotSimpleError("input must be simple")
 
 
@@ -298,6 +297,10 @@ class InclusionConstraints:
             if c.dir != "<=" or c.bound not in (1, 2):
                 raise ConstraintError(
                     "require_facet takes (A,1)<= or (A,2)<= entries, got %s" % c)
+            if not c.support:
+                raise ConstraintError(
+                    "require_facet entry %s has empty support and cuts no "
+                    "facet" % c)
             rf.append(c)
         for a in f1:
             if a == ground.full_mask:
@@ -312,13 +315,14 @@ class _Engine:
     classes: merge two of them, or add a line through three that no line
     holds yet.  Cover phase makes every mandatory triple dependent,
     branching on the first uncovered triple whose group (the classes it
-    meets) has the fewest moves; the moves are counted for every
-    uncovered triple and built for that one alone.  Grow phase then
-    takes every move over all classes.  A normalized state has every
-    line a union of >= 3 classes, and no two lines sharing >= 2 classes;
-    _child keeps that form from one state to the next, re-normalizing
-    only the lines that meet the move.  Dependencies only grow along any
-    move, so upper-bound violations prune permanently.
+    meets) has the fewest moves.  The moves of each uncovered triple are
+    built in turn and the fewest kept; the scan stops at a triple with
+    none.  Grow phase then takes every move over all classes.  A
+    normalized state has every line a union of >= 3 classes, and no two
+    lines sharing >= 2 classes; _child keeps that form from one state to
+    the next, re-normalizing only the lines that meet the move.
+    Dependencies only grow along any move, so upper-bound violations
+    prune permanently.
 
     mandatory and dep_max are _Triples bitsets over the support.  Moves
     are made only from a popped state that _scan found alive, whose

@@ -303,17 +303,6 @@ class SetFamily:
         _same_ground(self, other)
         return self._set <= other._set
 
-    def restrict(self, constraint):
-        """Members satisfying one more constraint."""
-        return SetFamily(self.ground, [m for m in self.masks if constraint.satisfied(m)])
-
-    def tight_members(self, constraint):
-        """Members on which the constraint holds with equality."""
-        return SetFamily(self.ground, [m for m in self.masks if constraint.tight(m)])
-
-    def to_labels(self):
-        return tuple(self.ground.labels_of(m) for m in self.masks)
-
     def __repr__(self):
         return "SetFamily(%d members on %r)" % (len(self.masks), self.ground)
 

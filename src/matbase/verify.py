@@ -137,7 +137,7 @@ def _suite_2decomp(ex):
     comp = LinearConstraint.parse(g, "{c,d,e}<=2").complement_form(3)
     ck.append(Check(comp == LinearConstraint(g, g.mask("ab"), ">=", 1),
                     "(cde,2)<= rewrites to (ab,1)>= on rank-3 members"))
-    got = two_decompose(m, check=True)
+    got = two_decompose(m)
     ck.append(Check(got is not None, "a splitting hyperplane exists"))
     if got is not None:
         hy, p1, p2 = got

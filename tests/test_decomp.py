@@ -22,8 +22,10 @@ from matbase.order import enumerate_included_rank3, iter_included_rank3
 from matbase.rank3 import InclusionConstraints, facet_rank2_flats
 from matbase.setfam import bits, ksubsets, submasks
 
-from util import (count_searches, exchange_ok_brute, ground, pool_rank3,
-                  set_partitions_3, supporting_face, try_matroid)
+from util import (count_searches, ground, pool_rank3,
+                  rank3_split_by_flat_rule, set_partitions_3, split_families,
+                  splits_by_halves, supporting_face, try_matroid,
+                  two_decompose_by_halves)
 
 
 def test_two_decompose_fixture():
@@ -41,29 +43,45 @@ def test_two_decompose_fixture():
         two_decompose(disc)
 
 
+SPLIT_FIXTURES = ("2decomp", "twopoints", "triangle", "notall")
+
+
+def _split_sweep_inputs():
+    """The fixtures above and the census classes for n <= 7: connected
+    simple rank-3 matroids, split and not."""
+    return ([get_example(k)["M"] for k in SPLIT_FIXTURES]
+            + [m for n in range(4, 8) for m in census_rank3(n)])
+
+
 def test_two_decompose_check_agreement():
-    # check=True compares the two-halves criterion against the
-    # cross-section criterion on every candidate hyperplane
+    # the cross-section criterion finds the first split of the
+    # two-halves scan over all masks, with the same halves
     from util import pool_small
-    for m in pool_small(6):
-        if not m.is_connected():
-            continue
-        two_decompose(m, check=True)
+    inputs = [m for m in pool_small(6) if m.is_connected()]
+    inputs += _split_sweep_inputs()
+    splits = 0
+    for m in inputs:
+        got = split_families(two_decompose(m))
+        assert got == two_decompose_by_halves(m)
+        splits += got is not None
+    assert 0 < splits < len(inputs)
 
 
 def test_rank3_split_criterion_against_direct_split():
-    # [DERIVED] oracle: both closed halves exchange-valid, nonempty, proper
-    for m in pool_rank3(6, simple_only=True, connected_only=True):
-        bases = list(m.bases)
-        for a in submasks(m.ground.full_mask):
-            if a == 0:
-                continue
-            low = [b for b in bases if (b & a).bit_count() <= 2]
-            up = [b for b in bases if (b & a).bit_count() >= 2]
-            direct = (bool(low) and bool(up)
-                      and len(low) < len(bases) and len(up) < len(bases)
-                      and exchange_ok_brute(low) and exchange_ok_brute(up))
-            assert rank3_two_decomposable_by(m, a) == direct
+    # [DERIVED] on every mask, the cross-section criterion agrees with
+    # the facet-flat rule and with the definition: both closed halves
+    # exchange-valid, both strict sides nonempty
+    inputs = pool_rank3(6, simple_only=True, connected_only=True)
+    inputs += _split_sweep_inputs()
+    cases = splits = 0
+    for m in inputs:
+        for a in range(1, m.ground.full_mask + 1):
+            got = rank3_two_decomposable_by(m, a)
+            assert got == rank3_split_by_flat_rule(m, a)
+            assert got == splits_by_halves(m, a, 2)
+            cases += 1
+            splits += got
+    assert 0 < splits < cases
 
 
 def test_rank3_split_fixtures():
@@ -243,6 +261,18 @@ def test_propagate_contradictions():
             g, forced_rank1=("bc",), require_facet=("{b,d}<=1",)))
 
 
+def test_require_facet_empty_support_rejected():
+    # an empty set cuts no facet, so the entry is a typed error before
+    # propagation or the inclusion search sees it
+    m = get_example("seven_typed")["M"]
+    g = m.ground
+    with pytest.raises(ConstraintError):
+        propagate(m, InclusionConstraints.of(g, require_facet=["{}<=1"]))
+    with pytest.raises(ConstraintError):
+        enumerate_included_rank3(
+            m, InclusionConstraints.of(g, require_facet=["{}<=1"]))
+
+
 def test_verify_decomposition_typed():
     ex = get_example("seven_typed")
     m = ex["M"]
@@ -315,6 +345,13 @@ def test_two_split_failing_verification_raises(monkeypatch, search):
                         DecompositionReport(False, "(c)", "forced failure"))
     with pytest.raises(AssertionError, match="fails verify_decomposition"):
         search(m)
+
+
+def test_two_decompose_failing_half_raises(monkeypatch):
+    # the halves of the hyperplane that hits are exchange-checked again
+    monkeypatch.setattr(decomp, "_half_matroid", lambda ground, fam: None)
+    with pytest.raises(AssertionError, match="half is not"):
+        two_decompose(get_example("2decomp")["M"])
 
 
 def test_find_decomposition_seven():

@@ -40,7 +40,8 @@ from util import (children, closure_by_rank, exchange_witness_pairs,
                   merge_by_union_find, moves_pairwise, normalize_by_masks,
                   normalize_cascade, pool_rank3, pool_small,
                   rank3_profile_by_flats, relabel_mask,
-                  scan_per_triple, triple_dependent)
+                  scan_per_triple, split_families, triple_dependent,
+                  two_decompose_by_halves)
 
 
 @st.composite
@@ -383,15 +384,16 @@ def test_rank3_facet_rule_matches_counting():
 
 
 def test_half_scan_matches_full_scan():
-    # the first split over half the masks is the first over all of them,
-    # on connected matroids up to six points and on the rank-4 and rank-5
-    # duals of the census classes on seven and eight points
+    # the first split over half the masks is the first over all of them
+    # by the two-halves definition, with the same halves, on connected
+    # matroids up to six points and on the rank-4 and rank-5 duals of
+    # the census classes on seven and eight points
     inputs = [m for m in pool_small(6) if m.is_connected()]
     inputs += [m.dual() for n in (7, 8) for m in census_rank3(n)]
     splits = 0
     for m in inputs:
-        got = two_decompose(m)
-        assert got == two_decompose(m, check=True)
+        got = split_families(two_decompose(m))
+        assert got == two_decompose_by_halves(m)
         splits += got is not None
     assert 0 < splits < len(inputs)
 

@@ -1,9 +1,11 @@
 """JSON serialization and the command-line front end."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -335,3 +337,24 @@ def test_python_m_matbase_runs_the_cli():
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.splitlines()[-1] == "-- m2: pass"
+
+
+def test_readme_python_blocks_run(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+def test_no_public_check_switch():
+    # definitional oracles live in tests/util.py, not behind a switch
+    for name in matbase.__all__:
+        obj = getattr(matbase, name)
+        if not callable(obj) or (isinstance(obj, type)
+                                 and issubclass(obj, matbase.MatbaseError)):
+            continue
+        assert "check" not in inspect.signature(obj).parameters, name

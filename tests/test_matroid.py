@@ -6,7 +6,7 @@ import pytest
 
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             GroundMismatchError, MixedCardinalityError)
-from matbase.matroid import (are_isomorphic, matroid_from_bases,
+from matbase.matroid import (Matroid, are_isomorphic, matroid_from_bases,
                              matroid_from_flat_constraints, uniform_matroid)
 from matbase.setfam import GroundSet, bits, ksubsets, submasks
 
@@ -20,6 +20,9 @@ def test_construction_errors():
         matroid_from_bases(g, [])
     with pytest.raises(MixedCardinalityError):
         matroid_from_bases(g, ["ab", "abc"])
+    # a mask outside the ground is reported before the mixed sizes
+    with pytest.raises(GroundMismatchError):
+        Matroid(g, [0b11, 0b1110000])
     # [TRIVIAL] {ab, cd} has no exchange for a into cd
     with pytest.raises(ExchangeAxiomError) as ei:
         matroid_from_bases(g, ["ab", "cd"])
@@ -235,10 +238,14 @@ def test_simplify():
     sd, _ = dup.simplify()
     assert are_isomorphic(sd, uniform_matroid(2, 4))
     for m in pool_small(5):
+        # simple: every set of at most two elements is independent
+        small = [a for a in submasks(m.ground.full_mask) if a.bit_count() <= 2]
+        assert m.is_simple() == all(rank_brute(m, a) == a.bit_count()
+                                    for a in small)
         if m.loops():
             continue
         s, _ = m.simplify()
-        assert s.rank == m.rank
+        assert s.rank == m.rank and s.is_simple()
         assert s.is_connected() == m.is_connected()
 
 

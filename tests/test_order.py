@@ -20,7 +20,7 @@ from matbase.rank3 import (InclusionConstraints, facet_rank2_flats,
 from matbase.setfam import LinearConstraint, ksubsets
 
 from util import (count_searches, exchange_ok_brute, ground, pool_rank3,
-                  pool_small)
+                  pool_small, weak_leq_by_ranks)
 
 
 def test_weak_leq_basics():
@@ -36,11 +36,11 @@ def test_weak_leq_basics():
 
 
 def test_weak_leq_rank_dominance_agreement():
-    # check=True raises if base inclusion and rankwise dominance ever split
+    # base inclusion and rankwise dominance never split
     mats = [m for m in pool_small(5) if m.ground.n == 5 and m.rank == 3]
     for m1 in mats:
         for m2 in mats:
-            weak_leq(m2, m1, check=True)
+            assert weak_leq(m2, m1) == weak_leq_by_ranks(m2, m1)
 
 
 def _brute_included(m):
@@ -154,14 +154,15 @@ def test_profile_errors():
 def test_weak_minimality():
     mn = get_example("minimal")["M"]
     assert is_weak_minimal_rank3(mn)
-    assert is_weak_minimal_rank3(mn, check=True)
+    assert next(iter_included_rank3(mn), None) is None
     seven = get_example("seven_typed")["M"]
     assert not is_weak_minimal_rank3(seven)
-    # binary implies weak-minimal; check=True runs the search anyway
+    # binary implies weak-minimal, and the search finds nothing either
     g = ground(5)
     m2 = matroid_from_flat_constraints(g, 3, [("abc", 2), ("cde", 2)])
     assert m2.is_binary()
-    assert is_weak_minimal_rank3(m2, check=True)
+    assert is_weak_minimal_rank3(m2)
+    assert next(iter_included_rank3(m2), None) is None
 
 
 def test_nonminimal_fixture():

@@ -23,7 +23,8 @@ from matbase.setfam import LinearConstraint, bits, ksubsets, submasks
 from util import (affine_dim, all_families, duplicate_element,
                   exchange_ok_brute, ground, indicators, label_sets,
                   pool_rank3, pool_small, relabel, set_partitions_3,
-                  try_matroid)
+                  split_families, try_matroid, two_decompose_by_halves,
+                  weak_leq_by_ranks)
 
 
 def battery_exchange_construction():
@@ -105,7 +106,7 @@ def battery_rank_dominance():
         for m2 in mats:
             if m1.ground != m2.ground or m1.rank != m2.rank:
                 continue
-            weak_leq(m2, m1, check=True)
+            assert weak_leq(m2, m1) == weak_leq_by_ranks(m2, m1)
             cases += 1
     return cases
 
@@ -183,11 +184,12 @@ def battery_duality():
 
 def battery_split_agreement():
     """The two-halves and cross-section criteria for a splitting
-    hyperplane never disagree."""
+    hyperplane find the same first split with the same halves."""
     cases = 0
     for m in pool_small(7):
         if m.is_connected():
-            two_decompose(m, check=True)
+            assert (split_families(two_decompose(m))
+                    == two_decompose_by_halves(m))
             cases += 1
     return cases
 

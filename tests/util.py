@@ -56,6 +56,66 @@ def exchange_witness_pairs(masks, base_set):
     return None
 
 
+def splits_by_halves(m, amask, a):
+    """Whether (A,a)= splits B(m) by the definition: both strict sides
+    are nonempty and both closed halves pass exchange_ok_brute."""
+    bases = list(m.bases)
+    low = [b for b in bases if (b & amask).bit_count() <= a]
+    up = [b for b in bases if (b & amask).bit_count() >= a]
+    return (len(low) < len(bases) and len(up) < len(bases)
+            and exchange_ok_brute(low) and exchange_ok_brute(up))
+
+
+def two_decompose_by_halves(m):
+    """First (A,a)= splitting B(m) over all masks, in (mask, bound) order
+    with 0 < a < rank, by splits_by_halves, as (A, a, lower half, upper
+    half) on the side with the larger support (the smaller mask on a
+    tie), the halves as frozensets of bases; None when no hyperplane
+    splits B(m).  The twin of decomp.two_decompose."""
+    full = m.ground.full_mask
+    for amask in range(1, full):
+        for a in range(1, m.rank):
+            if not splits_by_halves(m, amask, a):
+                continue
+            low = frozenset(b for b in m.bases if (b & amask).bit_count() <= a)
+            up = frozenset(b for b in m.bases if (b & amask).bit_count() >= a)
+            comp = full & ~amask
+            if (comp.bit_count(), -comp) > (amask.bit_count(), -amask):
+                return comp, m.rank - a, up, low
+            return amask, a, low, up
+    return None
+
+
+def split_families(split):
+    """A two_decompose result in the form two_decompose_by_halves
+    returns."""
+    if split is None:
+        return None
+    hyp, low, up = split
+    assert hyp.dir == "=="
+    return hyp.support, hyp.bound, frozenset(low.bases), frozenset(up.bases)
+
+
+def rank3_split_by_flat_rule(m, amask):
+    """Whether (A,2)= splits B(m) of a connected simple rank-3 matroid,
+    by the facet-flat rule: E - A keeps two elements, A has rank 3, and
+    every facet rank-2 flat meets A in at most one element, lies inside
+    A, or fills the ground together with A.  The twin of
+    decomp.rank3_two_decomposable_by."""
+    full = m.ground.full_mask
+    if (full & ~amask).bit_count() < 2 or m.rank_of(amask) != 3:
+        return False
+    return all((f & amask).bit_count() <= 1 or not (f & ~amask)
+               or (amask | f) == full for f in rank3.facet_rank2_flats(m))
+
+
+def weak_leq_by_ranks(m2, m1):
+    """Rank dominance r2(A) <= r1(A) for every A; the twin of
+    order.weak_leq on a common ground and rank."""
+    return all(m2.rank_of(a) <= m1.rank_of(a)
+               for a in submasks(m1.ground.full_mask))
+
+
 def triple_dependent(t, cls_of, lines):
     """Whether a 3-set meets a class twice or lies inside a line;
     cls_of maps each element to its class."""
