@@ -19,7 +19,7 @@ import itertools
 from .errors import (ConstraintError, ContradictionError, ExchangeAxiomError,
                      GroundMismatchError, InconclusiveError, NotConnectedError,
                      NotSimpleError)
-from .setfam import LinearConstraint, bits, ksubsets
+from .setfam import LinearConstraint, bits, ksubsets, submasks
 from .matroid import _exchange_witness, matroid_from_bases, merge_overlapping
 from .facets import _facet_table, is_facet_inequality
 from .rank3 import (InclusionConstraints, Rank3Profile, check_rank3_input,
@@ -223,73 +223,38 @@ class ThreePartition:
         return "|".join(self.ground.show(p) for p in self.parts)
 
 
-def _clique_edges(k):
-    return k * (k - 1) // 2
-
-
-def _min_two_clique_edges(k):
-    """Fewest edges of two cliques jointly covering k vertices:
-    t(t-1) at k=2t, t*t at k=2t+1."""
-    t, odd = divmod(k, 2)
-    return t * t if odd else t * (t - 1)
+def _is_three_partition(m, flats2, a1, a2, a3):
+    """Whether three disjoint masks covering E form a 3-partition of m,
+    given flats2, its facet rank-2 flats."""
+    return (all(a.bit_count() >= 2 for a in (a1, a2, a3))
+            and not any(f & a1 and f & a2 and f & a3 for f in flats2)
+            and all(m.rank_of(x | y) == 3
+                    for x, y in ((a1, a2), (a1, a3), (a2, a3))))
 
 
 def three_partitions(m):
     """All 3-partitions, canonically ordered.
 
-    Candidate partitions are first pruned by the edge count, the three
-    block cliques must carry at least sum of _min_two_clique_edges(|F|)
-    over facet rank-2 flats F, and by edge-disjointness of g(Ai,Ak) and
-    g(Aj,Ak); both prunes are implied by being a 3-partition, so the
-    survivors checked exactly give the full list.
+    Each unordered partition {A1,A2,A3} of E is visited once, A1 holding
+    the lowest element and A2 the lowest one left, and kept when every
+    block has at least 2 elements, no facet rank-2 flat meets all three
+    blocks and every union of two blocks has rank 3.
     """
     check_rank3_input(m)
     ground = m.ground
     full = ground.full_mask
     flats2 = facet_rank2_flats(m)
-    need = sum(_min_two_clique_edges(f.bit_count()) for f in flats2)
+    low1 = full & -full
     out = []
-    els = list(bits(full))
-    rest0 = [e for e in els[1:]]
-    for k1 in range(1, len(els) - 3):
-        for extra1 in itertools.combinations(rest0, k1):
-            a1 = 1 << els[0]
-            for e in extra1:
-                a1 |= 1 << e
-            rem = full & ~a1
-            rels = list(bits(rem))
-            if len(rels) < 4:
-                continue
-            for k2 in range(1, len(rels) - 1):
-                for extra2 in itertools.combinations(rels[1:], k2):
-                    a2 = 1 << rels[0]
-                    for e in extra2:
-                        a2 |= 1 << e
-                    a3 = rem & ~a2
-                    if a3.bit_count() < 2:
-                        continue
-                    parts = (a1, a2, a3)
-                    sizes = [p.bit_count() for p in parts]
-                    if sum(_clique_edges(s) for s in sizes) < need:
-                        continue
-                    if any(f & a1 and f & a2 and f & a3 for f in flats2):
-                        continue
-                    edge_sets = {}
-                    disjoint = True
-                    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                        for probe in (i, j):
-                            if (probe, k) not in edge_sets:
-                                edge_sets[(probe, k)] = set(facet_graph_components(
-                                    m, parts[probe], parts[k])[1])
-                        if edge_sets[(i, k)] & edge_sets[(j, k)]:
-                            disjoint = False
-                            break
-                    if not disjoint:
-                        continue
-                    if any(m.rank_of(parts[i] | parts[j]) != 3
-                           for i, j in ((0, 1), (0, 2), (1, 2))):
-                        continue
-                    out.append(ThreePartition(ground, tuple(sorted(parts))))
+    for x1 in submasks(full & ~low1):
+        a1 = low1 | x1
+        rem = full & ~a1
+        low2 = rem & -rem
+        for x2 in submasks(rem & ~low2):
+            a2 = low2 | x2
+            a3 = rem & ~a2
+            if _is_three_partition(m, flats2, a1, a2, a3):
+                out.append(ThreePartition(ground, tuple(sorted((a1, a2, a3)))))
     out.sort(key=lambda tp: tp.parts)
     return out
 
@@ -562,7 +527,9 @@ def find_decomposition_rank3(m, max_pieces=16):
     candidate pieces are the properly included connected base systems;
     any piece of any decomposition carries, for some 3-partition
     {A1,A2,A3} and orientation, both (A1,1)<= and (A1|A2,2)<= as
-    non-original facets, so those pieces seed the search.  Piece sets
+    non-original facets.  The seeds are the pieces whose own facet pairs
+    (A1,1)<= and (Z,2)<= with A1 inside Z give such a 3-partition
+    (A1, Z-A1, E-Z); no 3-partition is enumerated.  Piece sets
     grow by adding, for each facet still unmatched, a piece carrying the
     same face reversed.  Among the piece sets with every facet matched
     and every base covered, the one minimizing (piece count, sorted base
@@ -587,6 +554,24 @@ def _check_max_pieces(max_pieces):
             % max_pieces)
 
 
+def _seed_pieces(m, nonorig):
+    """Indices of the pool pieces that seed the search, in pool order:
+    those with non-original facets (A1,1)<= and (Z,2)<= such that
+    (A1, Z-A1, E-Z) is a 3-partition, nonorig being the per-piece
+    _facet_partners lists."""
+    full = m.ground.full_mask
+    flats2 = facet_rank2_flats(m)
+    out = []
+    for qi, facets in enumerate(nonorig):
+        ones = [a for a, bound, _ in facets if bound == 1]
+        twos = [z for z, bound, _ in facets if bound == 2]
+        if any(a1 & ~z == 0 and _is_three_partition(m, flats2, a1, z & ~a1,
+                                                     full & ~z)
+               for a1 in ones for z in twos):
+            out.append(qi)
+    return out
+
+
 def _decompose_rank3(m, max_pieces, pool):
     """The piece-set search of find_decomposition_rank3 for a checked
     input, given pool, the list enumerate_included_rank3(m)."""
@@ -594,21 +579,12 @@ def _decompose_rank3(m, max_pieces, pool):
         return None
     fams = [frozenset(p.bases) for p in pool]
     nonorig = _facet_partners(m, pool)
-    keys = [{(f, b) for f, b, _ in facets} for facets in nonorig]
     whole = frozenset(m.bases)
-    seeds = []
-    for tp in three_partitions(m):
-        for ai, aj in itertools.permutations(tp.parts, 2):
-            for qi in range(len(pool)):
-                if (ai, 1) in keys[qi] and (ai | aj, 2) in keys[qi]:
-                    s = frozenset((qi,))
-                    if s not in seeds:
-                        seeds.append(s)
     seen = set()
     closed = []
     inconclusive = False
-    for seed in seeds:
-        queue = deque([seed])
+    for qi in _seed_pieces(m, nonorig):
+        queue = deque([frozenset((qi,))])
         while queue:
             s = queue.popleft()
             if s in seen:

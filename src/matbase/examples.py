@@ -6,10 +6,10 @@ fixture stores the corrected family and a note says what was adjusted;
 the verification suites assert the corrected data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .setfam import GroundSet
-from .matroid import Matroid, matroid_from_flat_constraints, uniform_matroid
+from .matroid import matroid_from_flat_constraints
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Weak-map order on equal-rank matroids and rank-3 inclusion searches."""
 
 from .errors import ConstraintError, GroundMismatchError, RankError
-from .setfam import bits, ksubsets, submasks
+from .setfam import ksubsets, submasks
 from .rank3 import (InclusionConstraints, Rank3Profile, check_rank3_input,
                     rank3_profile, search_profiles)
 

@@ -283,17 +283,12 @@ class InclusionConstraints:
     forbidden: tuple = ()
     require_facet: tuple = ()
 
-    @classmethod
-    def of(cls, ground, forced_rank1=(), forced_rank2=(), forbidden=(),
-           require_facet=()):
-        f1 = tuple(ground.mask(a) for a in forced_rank1)
-        f2 = tuple(ground.mask(a) for a in forced_rank2)
-        fb = tuple(c if isinstance(c, LinearConstraint)
-                   else LinearConstraint.parse(ground, c) for c in forbidden)
-        rf = []
-        for c in require_facet:
+    def __post_init__(self):
+        for c in self.require_facet:
             if not isinstance(c, LinearConstraint):
-                c = LinearConstraint.parse(ground, c)
+                raise ConstraintError(
+                    "require_facet takes LinearConstraint entries, got %r"
+                    % (c,))
             if c.dir != "<=" or c.bound not in (1, 2):
                 raise ConstraintError(
                     "require_facet takes (A,1)<= or (A,2)<= entries, got %s" % c)
@@ -301,11 +296,20 @@ class InclusionConstraints:
                 raise ConstraintError(
                     "require_facet entry %s has empty support and cuts no "
                     "facet" % c)
-            rf.append(c)
+
+    @classmethod
+    def of(cls, ground, forced_rank1=(), forced_rank2=(), forbidden=(),
+           require_facet=()):
+        f1 = tuple(ground.mask(a) for a in forced_rank1)
+        f2 = tuple(ground.mask(a) for a in forced_rank2)
+        fb = tuple(c if isinstance(c, LinearConstraint)
+                   else LinearConstraint.parse(ground, c) for c in forbidden)
+        rf = tuple(c if isinstance(c, LinearConstraint)
+                   else LinearConstraint.parse(ground, c) for c in require_facet)
         for a in f1:
             if a == ground.full_mask:
                 raise ConstraintError("cannot force the full ground to rank 1")
-        return cls(f1, f2, fb, tuple(rf))
+        return cls(f1, f2, fb, rf)
 
 
 class _Engine:
@@ -546,6 +550,8 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
         support = ground.full_mask
     if constraints is None:
         constraints = InclusionConstraints()
+    if ground.full_mask in constraints.forced_rank1:
+        raise ConstraintError("cannot force the full ground to rank 1")
     # a facet flat of rank 2 is a long line: 3 or more support elements
     if any(is_facet_inequality(m, c.support, c.bound)
            or c.bound == 2 and (c.support & support).bit_count() < 3

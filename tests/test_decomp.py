@@ -23,9 +23,9 @@ from matbase.rank3 import InclusionConstraints, facet_rank2_flats
 from matbase.setfam import bits, ksubsets, submasks
 
 from util import (count_searches, ground, pool_rank3,
-                  rank3_split_by_flat_rule, set_partitions_3, split_families,
-                  splits_by_halves, supporting_face, try_matroid,
-                  two_decompose_by_halves)
+                  rank3_split_by_flat_rule, seed_pieces_by_partitions,
+                  set_partitions_3, split_families, splits_by_halves,
+                  supporting_face, try_matroid, two_decompose_by_halves)
 
 
 def test_two_decompose_fixture():
@@ -219,10 +219,36 @@ def test_three_partitions_seven():
 
 
 def test_three_partitions_oracle():
-    # [DERIVED] the pruned enumeration equals the definitional filter
+    # [DERIVED] the enumeration equals the filter over set_partitions_3
     assert three_partitions(get_example("minimal")["M"]) == []
-    for m in pool_rank3(7, simple_only=True, connected_only=True):
+    for m in (pool_rank3(7, simple_only=True, connected_only=True)
+              + census_rank3(8)):
         assert {tp.parts for tp in three_partitions(m)} == _partitions_oracle(m)
+
+
+def test_seed_pieces_match_partition_rule():
+    # [DERIVED] the pool's own facet pairs give the seeds that the
+    # enumerated 3-partitions give, on every input with a search to run
+    cases = ([m for n in (7, 8)
+              for m in census_rank3(n, neither_binary_nor_two_decomposable)]
+             + [get_example("seven_typed")["M"],
+                get_example("lucascon")["M1"]])
+    assert len(cases) == 9
+    for m in cases:
+        pool = enumerate_included_rank3(m)
+        nonorig = decomp._facet_partners(m, pool)
+        got = decomp._seed_pieces(m, nonorig)
+        assert got == sorted(set(got))
+        assert set(got) == seed_pieces_by_partitions(m, nonorig)
+    assert (len(pool), len(got)) == (102, 98)  # lucascon M1
+    # on the pools every nested pair gives a 3-partition, so one-piece
+    # facet lists over all mask pairs let the rule itself decide
+    m = get_example("seven_typed")["M"]
+    masks = range(m.ground.full_mask + 1)
+    nonorig = [((a1, 1, ()), (z, 2, ())) for z in masks for a1 in masks]
+    got = decomp._seed_pieces(m, nonorig)
+    assert len(got) == 36
+    assert set(got) == seed_pieces_by_partitions(m, nonorig)
 
 
 def test_propagate_seven():

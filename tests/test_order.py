@@ -123,6 +123,33 @@ def test_inclusion_constraint_errors():
         InclusionConstraints.of(g, forced_rank1=("abcde",))
 
 
+# built directly, without .of, the constraints are checked all the same
+
+def test_direct_require_facet_empty_support():
+    g = get_example("seven_typed")["M"].ground
+    with pytest.raises(ConstraintError):
+        InclusionConstraints(require_facet=(LinearConstraint(g, 0, "<=", 1),))
+
+
+def test_direct_require_facet_bound_three():
+    g = get_example("seven_typed")["M"].ground
+    with pytest.raises(ConstraintError):
+        InclusionConstraints(
+            require_facet=(LinearConstraint(g, g.mask("abc"), "<=", 3),))
+
+
+def test_direct_require_facet_string():
+    with pytest.raises(ConstraintError):
+        InclusionConstraints(require_facet=("{a,b}<=1",))
+
+
+def test_direct_forced_rank1_full_ground():
+    m = get_example("seven_typed")["M"]
+    cons = InclusionConstraints(forced_rank1=(m.ground.full_mask,))
+    with pytest.raises(ConstraintError):
+        enumerate_included_rank3(m, cons)
+
+
 def test_profile_roundtrip():
     for m in pool_rank3(6, simple_only=False):
         p = rank3_profile(m)

@@ -11,6 +11,7 @@ from collections import Counter
 
 from matbase import rank3
 from matbase.census import census_rank3
+from matbase.decomp import three_partitions
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
 from matbase.facets import is_facet_defining_base
@@ -386,6 +387,21 @@ def is_proper_face_by_levels(piece, fam):
         if supporting_face(bases, amask) == fam:
             return True
     return face_by_levels(piece, frozenset(fam))
+
+
+def seed_pieces_by_partitions(m, nonorig):
+    """The seed pieces of the decomposition search found by enumerating
+    the 3-partitions: piece qi seeds when, for some ordered pair (Ai, Aj)
+    of blocks, (Ai,1)<= and (Ai|Aj,2)<= are among its non-original
+    facets, nonorig being the per-piece decomp._facet_partners lists.
+    The twin of decomp._seed_pieces, as a set."""
+    keys = [{(f, b) for f, b, _ in facets} for facets in nonorig]
+    out = set()
+    for tp in three_partitions(m):
+        for ai, aj in itertools.permutations(tp.parts, 2):
+            out.update(qi for qi, k in enumerate(keys)
+                       if (ai, 1) in k and (ai | aj, 2) in k)
+    return out
 
 
 def merge_by_union_find(masks):
