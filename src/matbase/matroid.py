@@ -20,34 +20,67 @@ def _exchange_witness(masks, base_set):
     Returns (B1, B2, x) with x in B1 - B2 such that no y in B2 - B1 makes
     B1 - x + y a member: the first such B1 in masks order, then the first
     B2, then the smallest x, as a pair loop over (B1, B2) would find it.
+    masks is a nonempty list and base_set the same members as a set.
 
-    Works on bitsets over member indices.  has[e] holds the members
-    containing e.  For B1 and x in B1, let Y be the y outside B1 with
-    B1 - x + y a member; the exchange on x then fails for exactly the
-    members in avoid = ALL & ~has[x] & ~OR(has[y] for y in Y).
+    For a member B1 and x in B1, call C the elements z with B1 - x + z a
+    member, x among them.  The exchange on x fails for exactly the
+    members B2 that miss C.  The first member is checked on its own: its
+    sets C come from probing base_set, and the members are scanned for
+    the first that misses one.  A family that fails usually fails there
+    (the cross-sections of two_decompose do, nearly always), and then no
+    pass over the whole family is made.
+
+    Past it, one pass over the members fills has[e], the bitset over
+    member indices of the members holding e, and comp[S] for each
+    S = B - x, the elements that complete S to a member.  For each B1
+    the sets C are read off comp, and the members meeting C, the OR of
+    has over C, are computed once per S.  has and comp are keyed by
+    one-bit masks, so no element index is computed in the pass.
     """
+    first = masks[0]
+    outside = list(bits(((1 << max(masks).bit_length()) - 1) & ~first))
+    tests = []
+    for x in bits(first):
+        sx = first ^ (1 << x)
+        c = 1 << x
+        for y in outside:
+            if sx | (1 << y) in base_set:
+                c |= 1 << y
+        tests.append((x, c))
+    for b2 in masks:
+        for x, c in tests:
+            if not b2 & c:
+                return (first, b2, x)
     has = {}
-    support = 0
-    for k, b in enumerate(masks):
-        support |= b
-        for e in bits(b):
-            has[e] = has.get(e, 0) | 1 << k
-    everything = (1 << len(masks)) - 1
+    comp = {}
+    k = 1
+    for b in masks:
+        rest = b
+        while rest:
+            e = rest & -rest
+            rest ^= e
+            has[e] = has.get(e, 0) | k
+            comp[b ^ e] = comp.get(b ^ e, 0) | e
+        k <<= 1
+    meets = {}
+    for s, c in comp.items():
+        hit = 0
+        while c:
+            e = c & -c
+            c ^= e
+            hit |= has[e]
+        meets[s] = hit
+    everything = k - 1
     for b1 in masks:
-        outside = list(bits(support & ~b1))
-        avoids = []
-        failing = 0
-        for x in bits(b1):
-            bx = b1 ^ (1 << x)
-            avoid = everything & ~has[x]
-            for y in outside:
-                if bx | (1 << y) in base_set:
-                    avoid &= ~has[y]
-            avoids.append((x, avoid))
-            failing |= avoid
-        if failing:
-            low = failing & -failing
-            x = next(x for x, avoid in avoids if avoid & low)
+        kept = everything
+        rest = b1
+        while rest:
+            e = rest & -rest
+            rest ^= e
+            kept &= meets[b1 ^ e]
+        if kept != everything:
+            low = ~kept & -~kept
+            x = next(x for x in bits(b1) if not meets[b1 ^ (1 << x)] & low)
             return (b1, masks[low.bit_length() - 1], x)
     return None
 

@@ -201,10 +201,14 @@ class _Triples:
 
     A set of them is an int bitset over the indices.  dependent() gives
     the dependent triples of a (classes, lines) state, the union of the
-    memoized bitsets of its non-singleton classes and of its lines.
+    memoized bitsets of its non-singleton classes and of its lines.  Each
+    memo is filled by listing its own triples: a line gives its 3-subsets,
+    a class its pairs with each support element outside it, and its own
+    3-subsets.
     """
 
     def __init__(self, support):
+        self.support = support
         self.masks = list(ksubsets(support, 3))
         self.index = {t: k for k, t in enumerate(self.masks)}
         self._class_memo = {}
@@ -229,14 +233,15 @@ class _Triples:
             if c & (c - 1):
                 b = self._class_memo.get(c)
                 if b is None:
-                    b = self._class_memo[c] = self.bitset(
-                        t for t in self.masks if (t & c).bit_count() >= 2)
+                    rest = list(bits(self.support & ~c))
+                    b = self._class_memo[c] = self.bitset(itertools.chain(
+                        (p | 1 << e for p in ksubsets(c, 2) for e in rest),
+                        ksubsets(c, 3)))
                 dep |= b
         for l in lines:
             b = self._line_memo.get(l)
             if b is None:
-                b = self._line_memo[l] = self.bitset(
-                    t for t in self.masks if t & ~l == 0)
+                b = self._line_memo[l] = self.bitset(ksubsets(l, 3))
             dep |= b
         return dep
 
@@ -273,6 +278,8 @@ class InclusionConstraints:
     """Side conditions on the included matroid searched for.
 
     forced_rank1 sets must have rank 1; forced_rank2 sets rank at most 2;
+    both are masks over the ground searched, non-negative ints, and
+    search_profiles rejects one with an element outside that ground;
     forbidden constraints must be violated by some base; require_facet
     inequalities (A,1)<= or (A,2)<= must be facet-defining for the result
     and not facet-defining for the original.
@@ -284,6 +291,12 @@ class InclusionConstraints:
     require_facet: tuple = ()
 
     def __post_init__(self):
+        for name in ("forced_rank1", "forced_rank2"):
+            for a in getattr(self, name):
+                if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+                    raise ConstraintError(
+                        "%s takes masks, non-negative ints, got %r"
+                        % (name, a))
         for c in self.require_facet:
             if not isinstance(c, LinearConstraint):
                 raise ConstraintError(
@@ -319,14 +332,21 @@ class _Engine:
     classes: merge two of them, or add a line through three that no line
     holds yet.  Cover phase makes every mandatory triple dependent,
     branching on the first uncovered triple whose group (the classes it
-    meets) has the fewest moves.  The moves of each uncovered triple are
-    built in turn and the fewest kept; the scan stops at a triple with
-    none.  Grow phase then takes every move over all classes.  A
-    normalized state has every line a union of >= 3 classes, and no two
-    lines sharing >= 2 classes; _child keeps that form from one state to
-    the next, re-normalizing only the lines that meet the move.
-    Dependencies only grow along any move, so upper-bound violations
-    prune permanently.
+    meets) has the fewest moves.  Grow phase then takes every move over
+    all classes.  A normalized state has every line a union of >= 3
+    classes, and no two lines sharing >= 2 classes; _child keeps that
+    form from one state to the next, re-normalizing only the lines that
+    meet the move.  Dependencies only grow along any move, so upper-bound
+    violations prune permanently.
+
+    With no dep_max the cover phase builds the moves of the first
+    uncovered triple alone.  That is exact: an uncovered triple t is
+    independent, so it meets three classes a, b and c, and no line holds
+    a | b | c, which holds t.  So t has exactly four moves, the three
+    merges and the line, every uncovered triple ties, and the
+    fewest-moves rule keeps the first.  Under a bound the moves of each
+    uncovered triple are built in turn and the fewest kept; the scan
+    stops at a triple with none.
 
     mandatory and dep_max are _Triples bitsets over the support.  Moves
     are made only from a popped state that _scan found alive, whose
@@ -334,15 +354,17 @@ class _Engine:
     triples it adds alone: those meeting a | b twice for a merge of a
     and b, those inside it for a new line.
 
-    With full, the mask of the whole ground, a popped state whose
-    matroid is disconnected (_connected) is dropped with everything
-    below it.  That is exact: a child has the same rank and fewer bases,
-    and when B(M') lies in B(M) at equal rank, every separator A of M,
+    With full, the mask of the whole ground, a new state whose matroid
+    is disconnected (_connected) is put in seen but never pushed, so
+    nothing below it is searched; the start state is tested the same
+    way.  That is exact: a child has the same rank and fewer bases, and
+    when B(M') lies in B(M) at equal rank, every separator A of M,
     r(A) + r(E-A) = r(E), is one of M' too, since r' <= r and
     r'(E) = r(E).  So every descendant of a disconnected state is
-    disconnected or dead, a connected state is only reached from a
-    connected parent, and the connected states come in the same order
-    as without the prune.
+    disconnected or dead, and a connected state is only reached from a
+    connected parent.  A disconnected state on the stack would yield
+    nothing and push nothing, so leaving it off changes neither the
+    connected states nor their order.
     """
 
     def __init__(self, support, mandatory, dep_max=None, cert1=(), cert2=(),
@@ -370,18 +392,18 @@ class _Engine:
         return True
 
     def _scan(self, classes, lines):
-        """(alive, uncovered mandatory triples) for a normalized state.
+        """The uncovered mandatory triples of a normalized state, as a
+        bitset over the support's triples, or None when it is dead.
 
-        The state's dependent triples are built once, as a bitset over
-        the support's triples, from its lines and non-singleton classes.
-        It is alive when they all lie in dep_max; the uncovered mandatory
-        triples come in ksubsets order over the support, which fixes the
-        branching order of run().  A dead state reports none.
+        The state's dependent triples are built once, from its lines and
+        non-singleton classes.  It is alive when they all lie in dep_max;
+        the bits of the uncovered triples run in ksubsets order over the
+        support, which fixes the branching order of run().
         """
         dep = self.tri.dependent(classes, lines)
         if self.dep_max_bits is not None and dep & ~self.dep_max_bits:
-            return False, ()
-        return True, self.tri.masks_of(self.mandatory_bits & ~dep)
+            return None
+        return self.mandatory_bits & ~dep
 
     def _picks(self, lines, group):
         """The moves of a live state over a sorted group of its classes
@@ -450,41 +472,49 @@ class _Engine:
             return None
         return tuple(classes), tuple(sorted(kept))
 
+    def _kept(self, classes, lines):
+        """Whether a new state goes on the stack: always without full,
+        else when its matroid is connected."""
+        return self.full is None or _connected(self.full, self.support,
+                                               classes, lines)
+
     def run(self, seed_classes):
         """Yield every normalized reachable state with mandatory covered
         (and, with full, connected), starting from the seed classes with
         no lines."""
         start = (tuple(sorted(seed_classes)), ())
-        if len(start[0]) < 3 or not self._guards_ok(*start):
+        if (len(start[0]) < 3 or not self._guards_ok(*start)
+                or not self._kept(*start)):
             return
         seen = {start}
         stack = [start]
         while stack:
             classes, lines = stack.pop()
-            if self.full is not None and not _connected(
-                    self.full, self.support, classes, lines):
+            uncovered = self._scan(classes, lines)
+            if uncovered is None:
                 continue
-            alive, uncovered = self._scan(classes, lines)
-            if not alive:
-                continue
-            if uncovered:
-                # branch on the most constrained uncovered triple
-                best = None
-                for t in uncovered:
-                    picks = self._picks(lines, [c for c in classes if c & t])
-                    if best is None or len(picks) < len(best):
-                        best = picks
-                        if not picks:
-                            break
-                picks = best
-            else:
+            if not uncovered:
                 yield classes, lines
                 picks = self._picks(lines, classes)
+            elif self.dep_max_bits is None:
+                # every uncovered triple has four moves: take the first
+                t = self.tri.masks[(uncovered & -uncovered).bit_length() - 1]
+                picks = self._picks(lines, [c for c in classes if c & t])
+            else:
+                # branch on the most constrained uncovered triple
+                picks = None
+                for t in self.tri.masks_of(uncovered):
+                    moves = self._picks(lines, [c for c in classes if c & t])
+                    if picks is None or len(moves) < len(picks):
+                        picks = moves
+                        if not picks:
+                            break
             for pick in picks:
                 state = self._child(classes, lines, pick)
                 if state is not None and state not in seen:
                     seen.add(state)
-                    stack.append(state)
+                    if self._kept(*state):
+                        stack.append(state)
 
 
 def _seeded_state(m, support, constraints):
@@ -552,6 +582,10 @@ def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
         constraints = InclusionConstraints()
     if ground.full_mask in constraints.forced_rank1:
         raise ConstraintError("cannot force the full ground to rank 1")
+    for a in constraints.forced_rank1 + constraints.forced_rank2:
+        if a & ~ground.full_mask:
+            raise ConstraintError("forced set %#x has elements outside the "
+                                  "ground of %d" % (a, ground.n))
     # a facet flat of rank 2 is a long line: 3 or more support elements
     if any(is_facet_inequality(m, c.support, c.bound)
            or c.bound == 2 and (c.support & support).bit_count() < 3

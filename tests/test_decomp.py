@@ -22,7 +22,7 @@ from matbase.order import enumerate_included_rank3, iter_included_rank3
 from matbase.rank3 import InclusionConstraints, facet_rank2_flats
 from matbase.setfam import bits, ksubsets, submasks
 
-from util import (count_searches, ground, pool_rank3,
+from util import (count_engine_steps, count_searches, ground, pool_rank3,
                   rank3_split_by_flat_rule, seed_pieces_by_partitions,
                   set_partitions_3, split_families, splits_by_halves,
                   supporting_face, try_matroid, two_decompose_by_halves)
@@ -524,3 +524,17 @@ def test_classify_searches_once(monkeypatch):
     mc = classify(nonminimal)
     assert mc.kind == "c" and mc.witness == first
     assert counts["runs"] == 1 and counts["builds"] <= len(pool) + 1
+
+
+def test_classify_engine_steps(monkeypatch):
+    # census_rank3(7)[17] is one of the two classes at n = 7 that classify
+    # sends to the inclusion search.  Under no bound the engine builds
+    # moves once per live popped state, and with connected pruning it
+    # tests each new state before pushing it, so it pops no disconnected
+    # state; a full pick scan or a drop after the pop breaks a count
+    m = census_rank3(7)[17]
+    counts = count_engine_steps(monkeypatch)
+    assert classify(m).kind == "d"
+    assert counts["picks"] == counts["live"] > 50
+    assert counts["tested"] > counts["popped"]
+    assert counts["disconnected_popped"] == counts["late_tests"] == 0

@@ -40,8 +40,8 @@ from util import (children, closure_by_rank, exchange_witness_pairs,
                   merge_by_union_find, moves_pairwise, normalize_by_masks,
                   normalize_cascade, pool_rank3, pool_small,
                   rank3_profile_by_flats, relabel_mask,
-                  scan_per_triple, split_families, triple_dependent,
-                  two_decompose_by_halves)
+                  run_by_fewest_picks, scan_per_triple, split_families,
+                  triple_dependent, two_decompose_by_halves)
 
 
 @st.composite
@@ -65,6 +65,28 @@ def test_exchange_witness_matches_pair_loop(case):
     _, fam = case
     assert (_exchange_witness(fam, frozenset(fam))
             == exchange_witness_pairs(fam, frozenset(fam)))
+
+
+def test_exchange_witness_on_cross_sections():
+    # the traffic two_decompose sends: the cross-sections
+    # {B : |B & A| = a}, 0 < a < r, A below the top element, of the
+    # census classes up to seven points and of their duals, each
+    # distinct member list once
+    crosses = {}
+    for m in CENSUS_TO_7 + [m.dual() for m in CENSUS_TO_7]:
+        for amask in range(1, 1 << (m.ground.n - 1)):
+            sizes = [(b & amask).bit_count() for b in m.bases.masks]
+            for a in range(1, m.rank):
+                cross = tuple(b for b, s in zip(m.bases.masks, sizes)
+                              if s == a)
+                if cross:
+                    crosses[cross] = None
+    failed = 0
+    for cross in crosses:
+        want = exchange_witness_pairs(cross, frozenset(cross))
+        assert _exchange_witness(cross, frozenset(cross)) == want
+        failed += want is not None
+    assert 0 < failed < len(crosses)
 
 
 @given(families())
@@ -119,7 +141,10 @@ def engine_states(draw):
 @given(engine_states())
 def test_scan_matches_per_triple_loop(case):
     engine, mandatory, dep_max, classes, lines = case
-    assert engine._scan(classes, lines) == scan_per_triple(
+    uncovered = engine._scan(classes, lines)
+    got = ((False, ()) if uncovered is None
+           else (True, engine.tri.masks_of(uncovered)))
+    assert got == scan_per_triple(
         engine.support, mandatory, dep_max, classes, lines)
 
 
@@ -138,16 +163,51 @@ def test_moves_match_pairwise_rules(case):
         bounds += [dep_max, dep_max | state_dep]
     for bound in bounds:
         engine = _Engine(support, mandatory, bound)
-        alive, uncovered = engine._scan(classes, lines)
-        if not alive:
+        uncovered = engine._scan(classes, lines)
+        if uncovered is None:
             continue
         assert children(classes, lines, engine._picks(
             lines, classes)) == moves_pairwise(support, bound, classes, lines)
-        for t in uncovered:
+        for t in engine.tri.masks_of(uncovered):
             group = [c for c in classes if c & t]
             assert children(classes, lines, engine._picks(
                 lines, group)) == moves_pairwise(
                     support, bound, classes, lines, t)
+
+
+@given(engine_states())
+def test_uncovered_triples_have_four_moves(case):
+    # under no bound an uncovered triple meets three classes a < b < c
+    # and no line holds a | b | c, so its moves are the three merges and
+    # the line, and run() may take the first uncovered triple
+    engine, mandatory, _, classes, lines = case
+    engine = _Engine(engine.support, mandatory)
+    for t in engine.tri.masks_of(engine._scan(classes, lines)):
+        a, b, c = [k for k in classes if k & t]
+        assert engine._picks(lines, [a, b, c]) == [(a, b), (a, c), (b, c),
+                                                    a | b | c]
+
+
+def test_run_matches_fewest_picks_twin():
+    # small random engines, from their drawn classes or from singletons,
+    # with no bound and the drawn one, with and without full, half the
+    # time guarding random certified flats: the same stream of states
+    yielded = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        engine, mandatory, dep_max, classes, _ = random_engine_state(rng)
+        support = engine.support
+        if rng.random() < 0.5:
+            classes = [1 << i for i in bits(support)]
+        certs = random_certs(list(bits(support)), rng)
+        bounds = (None,) if dep_max is None else (None, dep_max)
+        for bound in bounds:
+            for full in (None, support):
+                engine = _Engine(support, mandatory, bound, *certs, full=full)
+                got = list(engine.run(classes))
+                assert got == list(run_by_fewest_picks(engine, classes))
+                yielded[bound is None, full is None] += len(got)
+    assert len(yielded) == 4 and min(yielded.values()) > 0
 
 
 def random_certs(elems, rng):

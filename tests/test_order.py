@@ -150,6 +150,29 @@ def test_direct_forced_rank1_full_ground():
         enumerate_included_rank3(m, cons)
 
 
+def test_direct_forced_set_not_a_mask():
+    for bad in ("ab", -1, True, 1.0):
+        with pytest.raises(ConstraintError):
+            InclusionConstraints(forced_rank1=(bad,))
+        with pytest.raises(ConstraintError):
+            InclusionConstraints(forced_rank2=(bad,))
+
+
+def test_direct_forced_rank1_outside_ground():
+    # bit 9 lies outside the 7-element ground; it was read as {a}
+    m = get_example("seven_typed")["M"]
+    cons = InclusionConstraints(forced_rank1=(1 << 9 | 1,))
+    with pytest.raises(ConstraintError):
+        enumerate_included_rank3(m, cons)
+
+
+def test_direct_forced_rank2_outside_ground():
+    m = get_example("seven_typed")["M"]
+    cons = InclusionConstraints(forced_rank2=(1 << 7 | m.ground.mask("abc"),))
+    with pytest.raises(ConstraintError):
+        enumerate_included_rank3(m, cons)
+
+
 def test_profile_roundtrip():
     for m in pool_rank3(6, simple_only=False):
         p = rank3_profile(m)

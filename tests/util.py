@@ -2,7 +2,9 @@
 
 Everything here recomputes answers from definitions, independently of
 the library's own algorithms, so tests can compare the two.
-count_searches counts the rank-3 engine runs and matroid builds.
+count_searches counts the rank-3 engine runs and matroid builds, and
+count_engine_steps the engine's pops, move lists and connectivity
+tests.
 """
 
 import itertools
@@ -223,6 +225,44 @@ def normalize_by_masks(engine, classes, lines):
     if not engine._guards_ok(classes, unions):
         return None
     return tuple(sorted(classes)), tuple(sorted(unions))
+
+
+def run_by_fewest_picks(engine, seed_classes):
+    """The states an _Engine yields from the seed classes, by the rule
+    it had before it took the first uncovered triple under no bound:
+    each uncovered triple's moves are built and the first with the
+    fewest kept, bound or not, and with full a state is tested for
+    connectivity when it is popped, not before it is pushed.  The twin
+    of _Engine.run."""
+    start = (tuple(sorted(seed_classes)), ())
+    if len(start[0]) < 3 or not engine._guards_ok(*start):
+        return
+    seen = {start}
+    stack = [start]
+    while stack:
+        classes, lines = stack.pop()
+        if engine.full is not None and not rank3._connected(
+                engine.full, engine.support, classes, lines):
+            continue
+        uncovered = engine._scan(classes, lines)
+        if uncovered is None:
+            continue
+        if uncovered:
+            picks = None
+            for t in engine.tri.masks_of(uncovered):
+                moves = engine._picks(lines, [c for c in classes if c & t])
+                if picks is None or len(moves) < len(picks):
+                    picks = moves
+                    if not picks:
+                        break
+        else:
+            yield classes, lines
+            picks = engine._picks(lines, classes)
+        for pick in picks:
+            state = engine._child(classes, lines, pick)
+            if state is not None and state not in seen:
+                seen.add(state)
+                stack.append(state)
 
 
 def children(classes, lines, picks):
@@ -600,4 +640,65 @@ def count_searches(monkeypatch):
 
     monkeypatch.setattr(rank3._Engine, "run", counted_run)
     monkeypatch.setattr(rank3.Rank3Profile, "matroid", counted_build)
+    return counts
+
+
+def count_engine_steps(monkeypatch):
+    """Count what the rank-3 engine does from now on, as a Counter:
+    - popped: states popped (each goes to _scan first), and live: those
+      _scan finds alive;
+    - picks: _picks calls;
+    - disconnected_popped: popped states whose matroid is disconnected
+      while the engine prunes (full set);
+    - tested: connectivity tests made while a run advances, late_tests:
+      those not made on the start state or on the state the last _child
+      call returned, that is, not made before the state was pushed."""
+    counts = Counter()
+    run, scan, picks, child = (rank3._Engine.run, rank3._Engine._scan,
+                               rank3._Engine._picks, rank3._Engine._child)
+    connected = rank3._connected
+    now = {"running": False, "child": None}
+
+    def counted_run(self, *args):
+        states = run(self, *args)
+        now["child"] = None
+        while True:
+            now["running"] = True
+            try:
+                state = next(states)
+            except StopIteration:
+                return
+            finally:
+                now["running"] = False
+            yield state
+
+    def counted_scan(self, classes, lines):
+        counts["popped"] += 1
+        if self.full is not None and not connected(
+                self.full, self.support, classes, lines):
+            counts["disconnected_popped"] += 1
+        out = scan(self, classes, lines)
+        counts["live"] += out is not None
+        return out
+
+    def counted_picks(self, *args):
+        counts["picks"] += 1
+        return picks(self, *args)
+
+    def counted_child(self, *args):
+        now["child"] = out = child(self, *args)
+        return out
+
+    def counted_connected(full, support, classes, lines):
+        if now["running"]:
+            counts["tested"] += 1
+            if now["child"] is not None and now["child"] != (classes, lines):
+                counts["late_tests"] += 1
+        return connected(full, support, classes, lines)
+
+    monkeypatch.setattr(rank3._Engine, "run", counted_run)
+    monkeypatch.setattr(rank3._Engine, "_scan", counted_scan)
+    monkeypatch.setattr(rank3._Engine, "_picks", counted_picks)
+    monkeypatch.setattr(rank3._Engine, "_child", counted_child)
+    monkeypatch.setattr(rank3, "_connected", counted_connected)
     return counts
