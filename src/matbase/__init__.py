@@ -18,13 +18,13 @@ from .order import (enumerate_included_rank3, is_weak_minimal_rank3,
                     iter_included_rank3, no_strict_intermediate_rank3,
                     weak_leq)
 from .rank3 import (InclusionConstraints, Rank3Profile, facet_graph_components,
-                    facet_rank2_flats, rank3_profile)
+                    facet_rank2_flats, propagate, rank3_profile)
 from .decomp import (CLASS_LABELS, CorollaryWitness, Decomposition,
                      DecompositionReport, FacetGraph, MatroidClass,
                      ThreePartition, classify, facet_graph,
-                     find_decomposition_rank3, propagate,
-                     rank3_quick_witnesses, rank3_two_decomposable_by,
-                     three_partitions, two_decompose, verify_decomposition)
+                     find_decomposition_rank3, rank3_quick_witnesses,
+                     rank3_two_decomposable_by, three_partitions,
+                     two_decompose, verify_decomposition)
 from .io import (load_matroid, matroid_from_dict, matroid_from_json,
                  matroid_to_dict, matroid_to_json, save_matroid)
 from .census import (census_rank3, iter_line_families, matroid_of_lines,

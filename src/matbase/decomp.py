@@ -16,14 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 import itertools
 
-from .errors import (ConstraintError, ContradictionError, ExchangeAxiomError,
-                     GroundMismatchError, InconclusiveError, NotConnectedError,
-                     NotSimpleError)
+from .errors import (ConstraintError, ExchangeAxiomError, GroundMismatchError,
+                     InconclusiveError, NotConnectedError, NotSimpleError)
 from .setfam import LinearConstraint, bits, ksubsets, submasks
-from .matroid import _exchange_witness, matroid_from_bases, merge_overlapping
+from .matroid import _exchange_witness, matroid_from_bases
 from .facets import _facet_table, is_facet_inequality
-from .rank3 import (InclusionConstraints, Rank3Profile, check_rank3_input,
-                    facet_graph_components, facet_rank2_flats)
+from .rank3 import (Rank3Profile, check_rank3_input, facet_graph_components,
+                    facet_rank2_flats)
 from .order import _included_profiles, enumerate_included_rank3
 
 
@@ -257,83 +256,6 @@ def three_partitions(m):
                 out.append(ThreePartition(ground, tuple(sorted((a1, a2, a3)))))
     out.sort(key=lambda tp: tp.parts)
     return out
-
-
-# ------------------------------------------------------------ propagation
-
-def propagate(m, c):
-    """Close inclusion constraints under the rank-forcing rules.
-
-    Facet-certified entries of c.require_facet are flats of every
-    candidate, so the graph rules apply to them: a certified rank-1 flat
-    A forces rank 2 on A|C for each component C of g(A, E-A); a certified
-    or promoted rank-2 flat Z forces rank 1 on each non-singleton
-    component of g(E-Z, Z).  Plain forced entries only combine:
-    overlapping rank-1 sets unite, a rank-1 set overlapping a rank-2 set
-    extends it, and two certified rank-2 flats force rank 1 on their
-    intersection.  A derived rank-2 set missing only two elements is a
-    flat of every connected candidate and is promoted.  Monotone, and a
-    fixpoint: rerunning on the output changes nothing.
-
-    Raises ContradictionError when the closure kills every candidate:
-    the full ground forced below rank 3, a coloop forced, or a rank-1
-    set escaping a certified flat it meets.
-    """
-    check_rank3_input(m)
-    ground = m.ground
-    full = ground.full_mask
-    ones = set(c.forced_rank1)
-    twos = set(c.forced_rank2)
-    flat1 = {rc.support for rc in c.require_facet if rc.bound == 1}
-    flat2 = {rc.support for rc in c.require_facet if rc.bound == 2}
-    ones |= flat1
-    twos |= flat2
-
-    while True:
-        before = (frozenset(ones), frozenset(twos), frozenset(flat2))
-        if full in ones or full in twos:
-            raise ContradictionError("the full ground is forced below rank 3")
-        for t in sorted(twos):
-            left = (full & ~t).bit_count()
-            if left == 1:
-                raise ContradictionError(
-                    "rank-2 set %s forces a coloop" % ground.show(t))
-            if left == 2:
-                flat2.add(t)
-        # a rank-1 set meeting a flat lies inside it
-        for z in flat2:
-            for a in ones:
-                if a & z and a & ~z:
-                    raise ContradictionError(
-                        "rank-1 set %s escapes the rank-2 flat %s"
-                        % (ground.show(a), ground.show(z)))
-        ones = set(merge_overlapping(ones))
-        for f in flat1:
-            cls = next(a for a in ones if a & f)
-            if cls != f:
-                raise ContradictionError(
-                    "rank-1 set %s escapes the rank-1 flat %s"
-                    % (ground.show(cls), ground.show(f)))
-        for a in sorted(ones):
-            for t in sorted(twos):
-                if a & t:
-                    twos.add(a | t)
-        for z1, z2 in itertools.combinations(sorted(flat2), 2):
-            if z1 & z2:
-                ones.add(z1 & z2)
-        for f in sorted(flat1):
-            comps, _ = facet_graph_components(m, f, full & ~f)
-            for comp in comps:
-                twos.add(f | comp)
-        for z in sorted(flat2):
-            comps, _ = facet_graph_components(m, full & ~z, z)
-            for comp in comps:
-                if comp.bit_count() >= 2:
-                    ones.add(comp)
-        if (frozenset(ones), frozenset(twos), frozenset(flat2)) == before:
-            break
-    return InclusionConstraints(tuple(sorted(ones)), tuple(sorted(twos)),
-                                c.forbidden, c.require_facet)
 
 
 # --------------------------------------------------- decomposition proper

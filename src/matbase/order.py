@@ -34,8 +34,7 @@ def _included_profiles(m, constraints):
     meet the constraints, in search order."""
     check_rank3_input(m)
     own = rank3_profile(m)
-    for profile in search_profiles(m, constraints,
-                                   mandatory=_dependent_triples(m)):
+    for profile in search_profiles(m, constraints):
         if profile != own:
             yield profile
 
@@ -93,12 +92,10 @@ def no_strict_intermediate_rank3(m_low, m_high):
         support = full & ~lset
         if support.bit_count() < 3:
             continue
-        mandatory = frozenset(t for t in dep_high if not t & lset)
         dep_max = frozenset(t for t in dep_low if not t & lset)
         looped = frozenset(t for t in ksubsets(full, 3) if t & lset)
-        for profile in search_profiles(
-                m_high, None, mandatory=mandatory, dep_max=dep_max,
-                support=support, connected_only=False):
+        for profile in search_profiles(m_high, dep_max=dep_max,
+                                       support=support, connected_only=False):
             dep_full = profile.dependent_triples() | looped
             if dep_full != dep_high and dep_full != dep_low:
                 return False

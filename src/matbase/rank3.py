@@ -12,9 +12,10 @@ import bisect
 import itertools
 from dataclasses import dataclass
 
-from .errors import (ConstraintError, LoopError, NotConnectedError,
-                     NotSimpleError, RankError)
-from .setfam import GroundSet, LinearConstraint, bits, ksubsets
+from .errors import (ConstraintError, ContradictionError, GroundMismatchError,
+                     LoopError, NotConnectedError, NotSimpleError, RankError)
+from .setfam import (GroundSet, LinearConstraint, _coerce_constraints, bits,
+                     ksubsets)
 from .matroid import matroid_from_bases, merge_overlapping
 from .facets import _facet_table, is_facet_inequality
 
@@ -279,7 +280,7 @@ class InclusionConstraints:
 
     forced_rank1 sets must have rank 1; forced_rank2 sets rank at most 2;
     both are masks over the ground searched, non-negative ints, and
-    search_profiles rejects one with an element outside that ground;
+    check_ground rejects one with an element outside that ground;
     forbidden constraints must be violated by some base; require_facet
     inequalities (A,1)<= or (A,2)<= must be facet-defining for the result
     and not facet-defining for the original.
@@ -297,11 +298,13 @@ class InclusionConstraints:
                     raise ConstraintError(
                         "%s takes masks, non-negative ints, got %r"
                         % (name, a))
+        for name in ("forbidden", "require_facet"):
+            for c in getattr(self, name):
+                if not isinstance(c, LinearConstraint):
+                    raise ConstraintError(
+                        "%s takes LinearConstraint entries, got %r"
+                        % (name, c))
         for c in self.require_facet:
-            if not isinstance(c, LinearConstraint):
-                raise ConstraintError(
-                    "require_facet takes LinearConstraint entries, got %r"
-                    % (c,))
             if c.dir != "<=" or c.bound not in (1, 2):
                 raise ConstraintError(
                     "require_facet takes (A,1)<= or (A,2)<= entries, got %s" % c)
@@ -310,19 +313,110 @@ class InclusionConstraints:
                     "require_facet entry %s has empty support and cuts no "
                     "facet" % c)
 
+    def check_ground(self, ground):
+        """Reject constraints that do not fit the ground searched: a
+        rank-1 set that is the whole ground or a forced set with an
+        element outside it (ConstraintError), and a forbidden or
+        require_facet entry over another ground (GroundMismatchError)."""
+        if ground.full_mask in self.forced_rank1:
+            raise ConstraintError("cannot force the full ground to rank 1")
+        for a in self.forced_rank1 + self.forced_rank2:
+            if a & ~ground.full_mask:
+                raise ConstraintError("forced set %#x has elements outside "
+                                      "the ground of %d" % (a, ground.n))
+        for c in self.forbidden + self.require_facet:
+            if c.ground != ground:
+                raise GroundMismatchError(
+                    "constraint %s is on a different ground set" % c)
+
     @classmethod
     def of(cls, ground, forced_rank1=(), forced_rank2=(), forbidden=(),
            require_facet=()):
-        f1 = tuple(ground.mask(a) for a in forced_rank1)
-        f2 = tuple(ground.mask(a) for a in forced_rank2)
-        fb = tuple(c if isinstance(c, LinearConstraint)
-                   else LinearConstraint.parse(ground, c) for c in forbidden)
-        rf = tuple(c if isinstance(c, LinearConstraint)
-                   else LinearConstraint.parse(ground, c) for c in require_facet)
-        for a in f1:
-            if a == ground.full_mask:
-                raise ConstraintError("cannot force the full ground to rank 1")
-        return cls(f1, f2, fb, rf)
+        out = cls(tuple(ground.mask(a) for a in forced_rank1),
+                  tuple(ground.mask(a) for a in forced_rank2),
+                  tuple(_coerce_constraints(ground, forbidden)),
+                  tuple(_coerce_constraints(ground, require_facet)))
+        out.check_ground(ground)
+        return out
+
+
+def propagate(m, c):
+    """Close inclusion constraints under the rank-forcing rules that hold
+    for every connected rank-3 matroid M' with B(M') inside B(m); the
+    inclusion search (search_profiles) starts from this closure.
+
+    Facet-certified entries of c.require_facet are flats of every
+    candidate, so the graph rules apply to them: a certified rank-1 flat
+    A forces rank 2 on A|C for each component C of g(A, E-A); a certified
+    or promoted rank-2 flat Z forces rank 1 on each non-singleton
+    component of g(E-Z, Z).  Plain forced entries only combine:
+    overlapping rank-1 sets unite, a rank-1 set overlapping a rank-2 set
+    extends it, and two certified rank-2 flats force rank 1 on their
+    intersection.  A derived rank-2 set missing only two elements is a
+    flat of every connected candidate and is promoted.  Monotone, and a
+    fixpoint: rerunning on the output changes nothing.
+
+    Raises ContradictionError when the closure kills every candidate:
+    the full ground forced below rank 3, a coloop forced, or a rank-1
+    set escaping a certified flat it meets.  Constraints that do not fit
+    the ground of m are rejected first (InclusionConstraints.check_ground).
+    """
+    check_rank3_input(m)
+    ground = m.ground
+    c.check_ground(ground)
+    full = ground.full_mask
+    ones = set(c.forced_rank1)
+    twos = set(c.forced_rank2)
+    flat1 = {rc.support for rc in c.require_facet if rc.bound == 1}
+    flat2 = {rc.support for rc in c.require_facet if rc.bound == 2}
+    ones |= flat1
+    twos |= flat2
+
+    while True:
+        before = (frozenset(ones), frozenset(twos), frozenset(flat2))
+        if full in ones or full in twos:
+            raise ContradictionError("the full ground is forced below rank 3")
+        for t in sorted(twos):
+            left = (full & ~t).bit_count()
+            if left == 1:
+                raise ContradictionError(
+                    "rank-2 set %s forces a coloop" % ground.show(t))
+            if left == 2:
+                flat2.add(t)
+        # a rank-1 set meeting a flat lies inside it
+        for z in flat2:
+            for a in ones:
+                if a & z and a & ~z:
+                    raise ContradictionError(
+                        "rank-1 set %s escapes the rank-2 flat %s"
+                        % (ground.show(a), ground.show(z)))
+        ones = set(merge_overlapping(ones))
+        for f in flat1:
+            cls = next(a for a in ones if a & f)
+            if cls != f:
+                raise ContradictionError(
+                    "rank-1 set %s escapes the rank-1 flat %s"
+                    % (ground.show(cls), ground.show(f)))
+        for a in sorted(ones):
+            for t in sorted(twos):
+                if a & t:
+                    twos.add(a | t)
+        for z1, z2 in itertools.combinations(sorted(flat2), 2):
+            if z1 & z2:
+                ones.add(z1 & z2)
+        for f in sorted(flat1):
+            comps, _ = facet_graph_components(m, f, full & ~f)
+            for comp in comps:
+                twos.add(f | comp)
+        for z in sorted(flat2):
+            comps, _ = facet_graph_components(m, full & ~z, z)
+            for comp in comps:
+                if comp.bit_count() >= 2:
+                    ones.add(comp)
+        if (frozenset(ones), frozenset(twos), frozenset(flat2)) == before:
+            break
+    return InclusionConstraints(tuple(sorted(ones)), tuple(sorted(twos)),
+                                c.forbidden, c.require_facet)
 
 
 class _Engine:
@@ -517,91 +611,62 @@ class _Engine:
                         stack.append(state)
 
 
-def _seeded_state(m, support, constraints):
-    """Initial partition, extra mandatory triples, and cert masks.
-
-    Returns None when the constraints are contradictory on their face.
-    Only certified flats feed the forcing lemmas: a merely forced rank-1
-    set need not be a flat of the result, and the lemmas are false for
-    non-flats.  Elements outside the support are loops, so a forced set
-    A constrains only A & support, which has the same rank.
-    """
-    groups = [1 << i for i in bits(support)]
-    groups += [a & support for a in constraints.forced_rank1]
-    cert1 = []
-    cert2 = []
-    extra_mandatory = set()
-    for a in constraints.forced_rank2:
-        for t in ksubsets(a & support, 3):
-            extra_mandatory.add(t)
-    for c in constraints.require_facet:
-        a = c.support
-        if a & ~support:
-            return None
-        if c.bound == 1:
-            groups.append(a)
-            cert1.append(a)
-            # certified rank-1 flat: each component of the facet graph
-            # from a into the rest collapses with a to rank <= 2
-            comps, _ = facet_graph_components(m, a, support & ~a)
-            for comp in comps:
-                for t in ksubsets(a | comp, 3):
-                    extra_mandatory.add(t)
-        else:
-            cert2.append(a)
-            for t in ksubsets(a, 3):
-                extra_mandatory.add(t)
-            # certified rank-2 flat: components of the graph into a
-            # are parallel classes of the result
-            comps, _ = facet_graph_components(m, support & ~a, a)
-            groups.extend(comps)
-    # an empty forced set joins nothing and is no class
-    seed = [c for c in merge_overlapping(groups) if c]
-    return seed, extra_mandatory, tuple(cert1), tuple(cert2)
-
-
-def search_profiles(m, constraints=None, *, mandatory, dep_max=None,
-                    support=None, connected_only=True):
+def search_profiles(m, constraints=None, *, dep_max=None, support=None,
+                    connected_only=True):
     """Yield the Rank3Profile of every included matroid the engine
     reaches that meets all constraints, in search order.
 
-    mandatory: triples that must be dependent; dep_max: triples allowed
-    to be dependent (None for no bound); support: the non-loops (default
-    the whole ground).  With connected_only, the engine prunes every
-    state whose matroid is disconnected, and everything below it.  A
-    matroid is built only for a profile that a forbidden entry has to
-    inspect.  A require_facet inequality must be facet-defining for the
-    result and not for m; if it is one for m, or has bound 2 on fewer
-    than 3 support elements, nothing is yielded and the engine does not
-    run.
+    support: the non-loops (default the whole ground); every 3-subset of
+    it that is no base of m must stay dependent.  dep_max: the triples
+    allowed to be dependent (None for no bound).  With connected_only,
+    the engine prunes every state whose matroid is disconnected, and
+    everything below it.
+
+    Constraints are taken only by the connected search over the whole
+    ground; with a smaller support or without connected_only they raise
+    ConstraintError.  The search starts from their closure under
+    propagate: its rank-1 sets are merged into the seed classes, the
+    triples of its rank-2 sets become dependent, and the require_facet
+    entries are certified flats that every state keeps; a
+    ContradictionError there means nothing is yielded.  A require_facet
+    inequality must be facet-defining for the result and not for m; if
+    it is one for m, or has bound 2 on fewer than 3 elements, nothing is
+    yielded and the engine does not run.  A matroid is built only for a
+    profile that a forbidden entry has to inspect.
     """
     ground = m.ground
+    full = ground.full_mask
     if support is None:
-        support = ground.full_mask
+        support = full
     if constraints is None:
-        constraints = InclusionConstraints()
-    if ground.full_mask in constraints.forced_rank1:
-        raise ConstraintError("cannot force the full ground to rank 1")
-    for a in constraints.forced_rank1 + constraints.forced_rank2:
-        if a & ~ground.full_mask:
-            raise ConstraintError("forced set %#x has elements outside the "
-                                  "ground of %d" % (a, ground.n))
-    # a facet flat of rank 2 is a long line: 3 or more support elements
+        constraints = closure = InclusionConstraints()
+    elif not connected_only or support != full:
+        raise ConstraintError("constraints need the connected search over "
+                              "the whole ground")
+    else:
+        try:
+            closure = propagate(m, constraints)
+        except ContradictionError:
+            return
+    # a facet flat of rank 2 is a long line: 3 or more elements
     if any(is_facet_inequality(m, c.support, c.bound)
-           or c.bound == 2 and (c.support & support).bit_count() < 3
+           or c.bound == 2 and c.support.bit_count() < 3
            for c in constraints.require_facet):
         return
-    seeded = _seeded_state(m, support, constraints)
-    if seeded is None:
-        return
-    seed, extra_mandatory, cert1, cert2 = seeded
-    mandatory = frozenset(mandatory) | frozenset(extra_mandatory)
+    mandatory = {t for t in ksubsets(support, 3) if t not in m.bases}
+    for a in closure.forced_rank2:
+        mandatory.update(ksubsets(a, 3))
     if dep_max is not None:
         dep_max = frozenset(dep_max)
-        if any(t not in dep_max for t in mandatory):
+        if not mandatory <= dep_max:
             return
+    cert1 = [c.support for c in constraints.require_facet if c.bound == 1]
+    cert2 = [c.support for c in constraints.require_facet if c.bound == 2]
     engine = _Engine(support, mandatory, dep_max, cert1, cert2,
-                     ground.full_mask if connected_only else None)
+                     full if connected_only else None)
+    # an empty forced set joins nothing and is no class
+    seed = [c for c in merge_overlapping(
+        [1 << i for i in bits(support)] + list(closure.forced_rank1)) if c]
     for classes, lines in engine.run(seed):
         profile = Rank3Profile(ground, classes, lines)
         if _finalize_ok(profile, constraints):

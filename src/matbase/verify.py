@@ -12,11 +12,11 @@ from .facets import (base_dimension, base_facets, check_intersecting_submodulari
                      face_split, is_facet_defining_base, is_facet_defining_ind)
 from .order import (enumerate_included_rank3, is_weak_minimal_rank3,
                     no_strict_intermediate_rank3, weak_leq)
-from .rank3 import InclusionConstraints, facet_rank2_flats
+from .rank3 import InclusionConstraints, facet_rank2_flats, propagate
 from .decomp import (_half_matroid, classify, facet_graph,
-                     find_decomposition_rank3, propagate,
-                     rank3_quick_witnesses, rank3_two_decomposable_by,
-                     three_partitions, two_decompose)
+                     find_decomposition_rank3, rank3_quick_witnesses,
+                     rank3_two_decomposable_by, three_partitions,
+                     two_decompose)
 from .examples import get_example
 
 

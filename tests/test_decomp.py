@@ -8,7 +8,7 @@ from matbase import decomp
 from matbase.census import census_rank3, neither_binary_nor_two_decomposable
 from matbase.decomp import (CLASS_LABELS, DecompositionReport,
                             _is_proper_face, classify, facet_graph,
-                            find_decomposition_rank3, propagate,
+                            find_decomposition_rank3,
                             rank3_quick_witnesses, rank3_two_decomposable_by,
                             three_partitions, two_decompose,
                             verify_decomposition)
@@ -19,7 +19,7 @@ from matbase.examples import get_example
 from matbase.matroid import (are_isomorphic, matroid_from_flat_constraints,
                              uniform_matroid)
 from matbase.order import enumerate_included_rank3, iter_included_rank3
-from matbase.rank3 import InclusionConstraints, facet_rank2_flats
+from matbase.rank3 import InclusionConstraints, facet_rank2_flats, propagate
 from matbase.setfam import bits, ksubsets, submasks
 
 from util import (count_engine_steps, count_searches, ground, pool_rank3,

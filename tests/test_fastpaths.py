@@ -6,8 +6,9 @@ rank-3 profile and facet rule and the half hyperplane scan on the
 census up to eight points, the face test of verify_decomposition
 against the ordered-partition recursion and the exchange edges, the
 census key on every family the census enumeration meets up to seven
-points, and the profile connectivity rule on every state of small
-searches."""
+points, the profile connectivity rule on every state of small
+searches, and the constrained inclusion search against the engine
+seeded with the first round of the forcing rules."""
 
 import functools
 import itertools
@@ -27,16 +28,18 @@ from matbase.examples import example_ids, get_example
 from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
 from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
-from matbase.rank3 import (Rank3Profile, _Engine, check_rank3_input,
-                           facet_graph_components, facet_rank2_flats,
-                           rank3_profile, search_profiles)
-from matbase.setfam import bits, ksubsets
+from matbase.order import iter_included_rank3
+from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Engine,
+                           check_rank3_input, facet_graph_components,
+                           facet_rank2_flats, rank3_profile, search_profiles)
+from matbase.setfam import LinearConstraint, bits, ksubsets
 
 from util import (children, closure_by_rank, exchange_witness_pairs,
                   face_components_by_minors, facet_inequality_by_report,
                   facet_reports_by_counting,
                   facet_rank2_flats_by_reports, ground,
-                  is_proper_face_by_levels, line_key_by_permutations,
+                  included_by_first_round, is_proper_face_by_levels,
+                  line_key_by_permutations,
                   merge_by_union_find, moves_pairwise, normalize_by_masks,
                   normalize_cascade, pool_rank3, pool_small,
                   rank3_profile_by_flats, relabel_mask,
@@ -569,10 +572,8 @@ def walked_profiles():
               + [get_example("seven_typed")["M"]]):
         full = m.ground.full_mask
         for support in (full, full & ~1):
-            mandatory = [t for t in ksubsets(support, 3) if t not in m.bases]
             out += [(p, p.matroid()) for p in search_profiles(
-                m, mandatory=mandatory, support=support,
-                connected_only=False)]
+                m, support=support, connected_only=False)]
     return tuple(out)
 
 
@@ -610,11 +611,9 @@ def pruned_matches_filtered(m, support=None):
     the same profiles in the same order.  Returns how many."""
     if support is None:
         support = m.ground.full_mask
-    mandatory = [t for t in ksubsets(support, 3) if t not in m.bases]
-    pruned = [p.key() for p in search_profiles(
-        m, mandatory=mandatory, support=support)]
+    pruned = [p.key() for p in search_profiles(m, support=support)]
     full = [p.key() for p in search_profiles(
-        m, mandatory=mandatory, support=support, connected_only=False)
+        m, support=support, connected_only=False)
         if p.is_connected()]
     assert pruned == full
     return len(pruned)
@@ -661,3 +660,49 @@ def test_pruned_search_matches_filtered_on_fixtures():
 @given(line_families(max_n=6))
 def test_pruned_search_matches_filtered_on_line_families(case):
     pruned_matches_filtered(matroid_of_lines(*case))
+
+
+def random_inclusion_constraints(g, rng):
+    """Seeded mixed constraints on the ground g with at least one forced
+    set or required facet: forced rank-1 sets of 1 to 3 elements, forced
+    rank-2 sets of 3 or 4, a forbidden (A,2)<= on a 3-set, and required
+    facets (A,1)<= on 1 to 3 elements or (A,2)<= on 2 to 4."""
+
+    def pick(sizes):
+        return sum(1 << i for i in rng.sample(range(g.n), rng.choice(sizes)))
+
+    while True:
+        f1 = tuple(pick((1, 2, 2, 3)) for _ in range(rng.choice((0, 0, 1, 2))))
+        f2 = tuple(pick((3, 3, 4)) for _ in range(rng.choice((0, 0, 1))))
+        rf = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            bound = rng.choice((1, 2))
+            sizes = (1, 2, 3) if bound == 1 else (2, 3, 3, 4)
+            rf.append(LinearConstraint(g, pick(sizes), "<=", bound))
+        if f1 or f2 or rf:
+            break
+    fb = tuple(LinearConstraint(g, pick((3,)), "<=", 2)
+               for _ in range(rng.choice((0, 0, 1))))
+    return InclusionConstraints(f1, f2, fb, tuple(rf))
+
+
+def test_included_search_matches_first_round_seeding():
+    # the search seeded from propagate's closure against the engine
+    # seeded with the first round of the forcing rules alone: the same
+    # systems.  The closure can merge more classes at the start (a
+    # promoted rank-2 flat, two certified flats meeting), which starts
+    # the engine from another state, so the order may differ
+    cases = found = 0
+    pool = [m for m in CENSUS_TO_7 if m.ground.n <= 6]
+    for k, m in enumerate(pool + [get_example("seven_typed")["M"]]):
+        rng = random.Random(k)
+        for _ in range(16):
+            cons = random_inclusion_constraints(m.ground, rng)
+            got = [rank3_profile(sub).key()
+                   for sub in iter_included_rank3(m, cons)]
+            want = [p.key() for p in included_by_first_round(m, cons)]
+            assert len(set(got)) == len(got)
+            assert sorted(got) == sorted(want)
+            cases += 1
+            found += bool(got)
+    assert cases == 208 and found >= 20

@@ -1,9 +1,11 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package or of the test suite imports
+a name it never uses."""
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "matbase"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "matbase"
 
 
 def unused_imports(source):
@@ -33,10 +35,10 @@ def test_no_unused_imports():
               "__all__ = ['b']\nd(osp)\n")
     assert unused_imports(sample) == ["os"]
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         names = unused_imports(path.read_text())
         if names:
-            found[path.name] = names
+            found[str(path.relative_to(TESTS.parent))] = names
     assert found == {}

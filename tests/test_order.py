@@ -16,8 +16,8 @@ from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
                            iter_included_rank3, no_strict_intermediate_rank3,
                            weak_leq)
 from matbase.rank3 import (InclusionConstraints, facet_rank2_flats,
-                           rank3_profile, search_profiles)
-from matbase.setfam import LinearConstraint, ksubsets
+                           propagate, rank3_profile, search_profiles)
+from matbase.setfam import GroundSet, LinearConstraint, ksubsets
 
 from util import (count_searches, exchange_ok_brute, ground, pool_rank3,
                   pool_small, weak_leq_by_ranks)
@@ -143,6 +143,27 @@ def test_direct_require_facet_string():
         InclusionConstraints(require_facet=("{a,b}<=1",))
 
 
+def test_direct_forbidden_string():
+    with pytest.raises(ConstraintError):
+        InclusionConstraints(forbidden=("{a,b,c}<=2",))
+
+
+def test_constraint_on_another_ground_rejected():
+    # the masks of a constraint over another 7-element ground fit this
+    # ground too, but it constrains nothing here
+    m = get_example("seven_typed")["M"]
+    g = m.ground
+    other = LinearConstraint.parse(GroundSet("pqrstuv"), "{p,r}<=1")
+    with pytest.raises(GroundMismatchError):
+        InclusionConstraints.of(g, require_facet=[other])
+    with pytest.raises(GroundMismatchError):
+        InclusionConstraints.of(g, forbidden=[other])
+    for cons in (InclusionConstraints(require_facet=(other,)),
+                 InclusionConstraints(forbidden=(other,))):
+        with pytest.raises(GroundMismatchError):
+            enumerate_included_rank3(m, cons)
+
+
 def test_direct_forced_rank1_full_ground():
     m = get_example("seven_typed")["M"]
     cons = InclusionConstraints(forced_rank1=(m.ground.full_mask,))
@@ -164,6 +185,8 @@ def test_direct_forced_rank1_outside_ground():
     cons = InclusionConstraints(forced_rank1=(1 << 9 | 1,))
     with pytest.raises(ConstraintError):
         enumerate_included_rank3(m, cons)
+    with pytest.raises(ConstraintError):
+        propagate(m, cons)
 
 
 def test_direct_forced_rank2_outside_ground():
@@ -253,29 +276,26 @@ def test_cover_relation_errors_and_edge_cases():
     assert not no_strict_intermediate_rank3(m2, u)
 
 
-def test_search_profiles_keeps_unsupported_elements_loops():
-    # a forced set reaching outside the support constrains only its part
-    # inside: a stays a loop instead of joining b in a parallel class
+def test_constraints_need_the_connected_whole_ground_search(monkeypatch):
+    # the forcing rules hold for connected systems on the whole ground,
+    # so constraints with a smaller support, or in a search that keeps
+    # disconnected states, are refused before the engine runs
     m = get_example("seven_typed")["M"]
     g = m.ground
-    a = g.mask("a")
-    support = g.full_mask & ~a
-    found = list(search_profiles(
-        m, InclusionConstraints.of(g, forced_rank1=["ab"]), mandatory=(),
-        support=support, connected_only=False))
-    assert found
-    for profile in found:
-        assert profile.support() & a == 0
-        assert profile.matroid().rank_of(a) == 0
-    # a forced rank-2 set adds no mandatory triple through a, so a bound
-    # on the dependent triples of the support alone leaves the search as
-    # it is without the bound
-    keys = [
-        [profile.key() for profile in search_profiles(
-            m, InclusionConstraints.of(g, forced_rank2=["abcd"]), mandatory=(),
-            dep_max=bound, support=support, connected_only=False)]
-        for bound in (None, ksubsets(support, 3))]
-    assert keys[0] and keys[0] == keys[1]
+    counts = count_searches(monkeypatch)
+    for cons in (InclusionConstraints(),
+                 InclusionConstraints.of(g, forced_rank1=["ab"]),
+                 InclusionConstraints.of(g, forced_rank2=["abcd"])):
+        for kwargs in ({"support": g.full_mask & ~g.mask("a")},
+                       {"connected_only": False}):
+            with pytest.raises(ConstraintError):
+                next(search_profiles(m, cons, **kwargs))
+    # a required facet, whose test needs a connected profile
+    m5 = census_rank3(5)[0]
+    cons = InclusionConstraints.of(m5.ground, require_facet=["{b,c,d}<=1"])
+    with pytest.raises(ConstraintError):
+        next(search_profiles(m5, cons, connected_only=False))
+    assert counts["runs"] == 0
 
 
 def test_required_original_facet_skips_the_engine(monkeypatch):

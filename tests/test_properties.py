@@ -7,18 +7,17 @@ import itertools
 import random
 
 from matbase.census import census_rank3
-from matbase.decomp import (classify, facet_graph, propagate,
-                            rank3_quick_witnesses,
+from matbase.decomp import (classify, facet_graph, rank3_quick_witnesses,
                             rank3_two_decomposable_by, three_partitions,
                             two_decompose, verify_decomposition)
 from matbase.errors import ContradictionError
 from matbase.examples import get_example
 from matbase.facets import base_dimension, base_facets, face_split, \
     is_facet_defining_base
-from matbase.matroid import are_isomorphic, matroid_from_bases
+from matbase.matroid import are_isomorphic
 from matbase.order import enumerate_included_rank3, weak_leq
-from matbase.rank3 import InclusionConstraints, facet_rank2_flats
-from matbase.setfam import LinearConstraint, bits, ksubsets, submasks
+from matbase.rank3 import InclusionConstraints, facet_rank2_flats, propagate
+from matbase.setfam import LinearConstraint, ksubsets, submasks
 
 from util import (affine_dim, all_families, duplicate_element,
                   exchange_ok_brute, ground, indicators, label_sets,

@@ -3,7 +3,8 @@
 Each line of the golden file is a label, a count and the sha256 of the
 key sequence of one search, in the order the search hands it out:
 - `profiles n=N #I`: search_profiles(..., connected_only=False) on the
-  I-th census class with N points, every dependent triple mandatory;
+  I-th census class with N points, which keeps every dependent triple
+  of the class dependent;
 - `included LABEL`: iter_included_rank3 on a census class with at most
   six points or on a fixture matroid with at most ten elements that
   check_rank3_input accepts, keyed by sorted bases;
@@ -39,8 +40,8 @@ def _line(label, keys):
     return "%s %d %s" % (label, len(keys), digest.hexdigest())
 
 
-def _dependent(m, support):
-    return [t for t in ksubsets(support, 3) if t not in m.bases]
+def _dependent(m):
+    return [t for t in ksubsets(m.ground.full_mask, 3) if t not in m.bases]
 
 
 def _fixtures():
@@ -60,9 +61,7 @@ def search_order_lines():
     census = [(n, i, m) for n in range(4, 7)
               for i, m in enumerate(census_rank3(n))]
     for n, i, m in census:
-        full = m.ground.full_mask
-        keys = [p.key() for p in search_profiles(
-            m, mandatory=_dependent(m, full), connected_only=False)]
+        keys = [p.key() for p in search_profiles(m, connected_only=False)]
         out.append(_line("profiles n=%d #%d" % (n, i), keys))
     cases = [("n=%d #%d" % (n, i), m) for n, i, m in census]
     cases += list(_fixtures())
@@ -74,11 +73,9 @@ def search_order_lines():
         if low is None:
             continue
         # low is connected, so the sandwich search has the whole ground
-        # as support, m's dependent triples as mandatory and low's as bound
-        full = m.ground.full_mask
+        # as support and low's dependent triples as bound
         keys = [p.key() for p in search_profiles(
-            m, mandatory=_dependent(m, full), dep_max=_dependent(low, full),
-            connected_only=False)]
+            m, dep_max=_dependent(low), connected_only=False)]
         out.append(_line("bounded n=%d #%d" % (n, i), keys))
     return out
 

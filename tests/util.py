@@ -16,8 +16,9 @@ from matbase.census import census_rank3
 from matbase.decomp import three_partitions
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
-from matbase.facets import is_facet_defining_base
-from matbase.matroid import matroid_from_bases, uniform_matroid
+from matbase.facets import is_facet_defining_base, is_facet_inequality
+from matbase.matroid import (matroid_from_bases, merge_overlapping,
+                             uniform_matroid)
 from matbase.setfam import GroundSet, bits, ksubsets, submasks
 
 LETTERS = "abcdefghijkl"
@@ -263,6 +264,48 @@ def run_by_fewest_picks(engine, seed_classes):
             if state is not None and state not in seen:
                 seen.add(state)
                 stack.append(state)
+
+
+def included_by_first_round(m, constraints):
+    """The profiles iter_included_rank3(m, constraints) yields, in search
+    order, by an engine seeded with the first round of the forcing rules
+    alone: the forced rank-1 sets and the components of g(E-Z, Z) for
+    each required rank-2 facet Z join the seed classes, and the triples
+    of each forced rank-2 set, of each Z and of A | C for each component
+    C of g(A, E-A) of each required rank-1 facet A must be dependent.
+    The twin of rank3.search_profiles seeded from propagate's closure;
+    the constraints must fit the ground of m."""
+    rank3.check_rank3_input(m)
+    own = rank3.rank3_profile(m)
+    full = m.ground.full_mask
+    if any(is_facet_inequality(m, c.support, c.bound)
+           or c.bound == 2 and c.support.bit_count() < 3
+           for c in constraints.require_facet):
+        return
+    groups = [1 << i for i in bits(full)] + list(constraints.forced_rank1)
+    mandatory = {t for t in ksubsets(full, 3) if t not in m.bases}
+    for a in constraints.forced_rank2:
+        mandatory.update(ksubsets(a, 3))
+    cert1, cert2 = [], []
+    for c in constraints.require_facet:
+        a = c.support
+        if c.bound == 1:
+            cert1.append(a)
+            groups.append(a)
+            comps, _ = rank3.facet_graph_components(m, a, full & ~a)
+            for comp in comps:
+                mandatory.update(ksubsets(a | comp, 3))
+        else:
+            cert2.append(a)
+            mandatory.update(ksubsets(a, 3))
+            comps, _ = rank3.facet_graph_components(m, full & ~a, a)
+            groups.extend(comps)
+    seed = [c for c in merge_overlapping(groups) if c]
+    engine = rank3._Engine(full, mandatory, None, cert1, cert2, full)
+    for classes, lines in engine.run(seed):
+        profile = rank3.Rank3Profile(m.ground, classes, lines)
+        if profile != own and rank3._finalize_ok(profile, constraints):
+            yield profile
 
 
 def children(classes, lines, picks):
