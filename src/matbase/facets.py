@@ -3,15 +3,22 @@
 A candidate inequality (A, r(A))<= is facet-defining for the base system of a
 connected matroid exactly when the face it cuts out has two connected
 components, equivalently when both the restriction to A and the contraction
-by A are connected.  The face is the tight family {B : |B & A| = r(A)},
-which is the base family of M|A direct-sum M/A over the same ground, so
-its components come from that family directly, without building either
-minor.  Connectivity counts every loop and coloop as its own component.
-Each matroid's facets are found once, into a table that every facet
-question reads.  For rank 3 the table is read off the parallel classes
-and long lines (Rank3Profile.facet_keys), and components are counted
-only for the reports base_facets returns; for other ranks the table
-counts the components of every candidate and keeps the reports.
+by A are connected (Feichtner and Sturmfels, 2005).  The face is the tight
+family {B : |B & A| = r(A)}, which is the base family of M|A direct-sum
+M/A over the same ground.  Its components come from one tight base B0
+alone: for e and f on the same side of A, f lies on the fundamental
+circuit of e exactly when B0 - f + e is a base (matroid.side_components),
+so neither minor is built.  Connectivity counts every loop and coloop as
+its own component.
+
+Each matroid's facets are found once, into a table of keys that every
+facet question reads.  For rank 3 the table is read off the parallel
+classes and long lines (Rank3Profile.facet_keys).  For other ranks the
+candidates are the proper flats, each with the tight base Matroid.flats
+recorded for it, and the sets E - e, each with a base avoiding e; a
+candidate is tested side by side and dropped at the first side that is
+not connected.  The face of a facet always has the components A and
+E - A, so base_facets builds its reports from the keys with no count.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotConnectedError, RankError
-from .matroid import family_components
+from .matroid import side_components
 from .setfam import ElementSet, bits
 
 
@@ -43,16 +50,17 @@ class FacetReport:
 
 def _face_components(m, amask):
     """Components of B(M) cap (A, r(A))=, i.e. of M|A direct-sum M/A, as
-    masks over the ground of m."""
-    ra = m.rank_of(amask)
-    tight = [b for b in m.bases.masks if (b & amask).bit_count() == ra]
-    return family_components(m.ground.full_mask, tight, frozenset(tight))
+    masks over the ground of m, from a base meeting A in r(A) elements."""
+    b0 = max(m.bases.masks, key=lambda b: (b & amask).bit_count())
+    base_set = m.bases._set
+    return tuple(sorted(
+        side_components(amask, b0, base_set)
+        + side_components(m.ground.full_mask & ~amask, b0, base_set)))
 
 
-def _is_trivial(m, amask):
-    """True when one strict side of the cut is empty over the rank
+def _is_trivial(m, amask, ra):
+    """True when one strict side of the cut (A, ra) is empty over the rank
     hyperplane's 01-points."""
-    ra = m.rank_of(amask)
     asize = amask.bit_count()
     can_exceed = min(asize, m.rank) > ra
     can_fall_short = m.rank - (m.ground.n - asize) < ra
@@ -77,18 +85,32 @@ def is_facet_defining_base(m, a):
         raise RankError("candidate set must be nonempty and proper")
     comps = _face_components(m, amask)
     is_facet = len(comps) == len(m.connected_components()) + 1
+    ra = m.rank_of(amask)
     return FacetReport(
         flat=ElementSet(m.ground, amask),
-        rank_at_flat=m.rank_of(amask),
+        rank_at_flat=ra,
         facet_of_base=is_facet,
-        trivial=_is_trivial(m, amask) if is_facet else None,
+        trivial=_is_trivial(m, amask, ra) if is_facet else None,
         components_on_face=comps,
     )
 
 
+def _facet_report(m, amask, ra):
+    """The report of a facet (A, ra)<= of B(m): its face has the two
+    components A and E - A."""
+    return FacetReport(
+        flat=ElementSet(m.ground, amask),
+        rank_at_flat=ra,
+        facet_of_base=True,
+        trivial=_is_trivial(m, amask, ra),
+        components_on_face=tuple(sorted((amask,
+                                         m.ground.full_mask & ~amask))),
+    )
+
+
 def _facet_table(m):
-    """{(flat, rank_at_flat): FacetReport or None} over the facets of
-    B(m), in mask order, built once per matroid by _build_facet_table."""
+    """{(flat, rank_at_flat): None} over the facets of B(m), in mask
+    order, built once per matroid by _build_facet_table."""
     if not m.is_connected():
         raise NotConnectedError("facet analysis needs a connected matroid")
     if m._facets is None:
@@ -97,23 +119,36 @@ def _facet_table(m):
 
 
 def _build_facet_table(m):
-    """The facet table of a connected matroid.
+    """The facet table of a connected matroid, as a dict of its keys.
 
-    For rank 3 the keys come from the profile of m and carry no report.
-    Otherwise the candidates are the proper nonempty flats together with
-    the sets E - e, each tested by its report, which the table keeps; the
-    sets E - e pick up the trivial facets whose complement closes to E.
-    No other set cuts a facet: if A is no flat, some e outside A is a loop
-    of M/A, which is connected only when E - A = {e}.
+    For rank 3 the keys come from the profile of m.  Otherwise the
+    candidates are the proper nonempty flats together with the sets
+    E - e; the sets E - e pick up the trivial facets whose complement
+    closes to E.  No other set cuts a facet: if A is no flat, some e
+    outside A is a loop of M/A, which is connected only when E - A = {e}.
+    A flat F is tested from the base Matroid.flats keeps for it, which
+    meets F in r(F) elements, and E - e from the first base avoiding e;
+    both sides of F are tested, E - e alone for E - e, by base-set
+    probes: O(n * r) per candidate after the O(|I(M)| * n) flat pass.
+    A connected one-element matroid has no candidate and no facet.
     """
     if m.rank == 3:
         from .rank3 import rank3_profile  # rank3 imports this module
         return dict.fromkeys(rank3_profile(m).facet_keys())
     full = m.ground.full_mask
-    cands = {f for f in m.flats() if 0 < f < full}
-    cands.update(full & ~(1 << i) for i in range(m.ground.n))
-    reps = (is_facet_defining_base(m, amask) for amask in sorted(cands))
-    return {(r.flat.mask, r.rank_at_flat): r for r in reps if r.facet_of_base}
+    base_set = m.bases._set
+    m.flats()  # fills m._flats: each flat with a base tight on it
+    keys = [(f, m.rank_of(f)) for f, b0 in m._flats.items()
+            if 0 < f < full and all(
+                len(side_components(s, b0, base_set)) == 1
+                for s in (f, full & ~f))]
+    avoiding = {}
+    for b in m.bases.masks:
+        for e in bits(full & ~b):
+            avoiding.setdefault(e, b)
+    keys += [(full & ~(1 << e), m.rank) for e, b0 in avoiding.items()
+             if len(side_components(full & ~(1 << e), b0, base_set)) == 1]
+    return dict.fromkeys(sorted(keys))
 
 
 def is_facet_inequality(m, amask, bound):
@@ -129,10 +164,8 @@ def is_facet_inequality(m, amask, bound):
 
 def base_facets(m):
     """All facet-defining inequalities of the base system, in mask order,
-    as a fresh list of reports on the facet table of m; a facet that
-    carries no report gets one here."""
-    return [is_facet_defining_base(m, amask) if rep is None else rep
-            for (amask, _), rep in _facet_table(m).items()]
+    as a fresh list of reports read off the facet table of m."""
+    return [_facet_report(m, amask, ra) for amask, ra in _facet_table(m)]
 
 
 def face_split(m, a):

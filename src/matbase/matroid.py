@@ -104,24 +104,46 @@ def merge_overlapping(masks):
     return sorted(groups)
 
 
-def family_components(full, masks, base_set):
-    """Connectivity components over full of the matroid with bases masks.
+def side_components(side, b0, base_set):
+    """Connectivity components of one side of a base b0, as a sorted list.
 
-    base_set is masks as a set.  Each element outside the first member b0
-    is joined with its fundamental circuit in b0; these circuits link
-    exactly the elements that share some circuit.  Elements that meet no
-    such circuit, loops and coloops among them, stay singletons.
+    base_set holds the bases of a matroid M, b0 is one of them, and side
+    is A or E - A for a set A with |b0 & A| = r(A).  Then b0 & A is a base
+    of M|A and b0 - A one of M/A, and for e and f on the same side,
+    b0 - f + e is a base of M exactly when f lies on the fundamental
+    circuit of e in that minor.  So each e of side outside b0 is joined
+    with the f of b0 & side that make b0 - f + e a base, and the result
+    is the components of M|A (side = A) or of M/A (side = E - A); with
+    A = E they are those of M.  These circuits link exactly the elements
+    that share some circuit.  Elements that meet no such circuit, loops
+    and coloops among them, stay singletons; an empty side has no
+    component.
     """
-    b0 = masks[0]
-    groups = [1 << i for i in bits(full)]
-    for e in bits(full & ~b0):
-        circ = 1 << e
-        be = b0 | circ
-        for x in bits(b0):
-            if be ^ (1 << x) in base_set:
-                circ |= 1 << x
+    inside = []
+    rest = b0 & side
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        inside.append(x)
+    groups = []
+    covered = 0
+    rest = side & ~b0
+    while rest:
+        e = rest & -rest
+        rest ^= e
+        circ = e
+        be = b0 | e
+        for x in inside:
+            if be ^ x in base_set:
+                circ |= x
         groups.append(circ)
-    return tuple(merge_overlapping(groups))
+        covered |= circ
+    rest = side & ~covered
+    while rest:
+        x = rest & -rest
+        rest ^= x
+        groups.append(x)
+    return merge_overlapping(groups)
 
 
 class Matroid:
@@ -196,27 +218,45 @@ class Matroid:
         """All flats, as an ascending tuple of masks (closure of the empty set
         and the full ground included).
 
-        The flats covering a flat F are the closures cl(F + e), and they
-        partition E - F: every e in cl(F + e) - F has the same closure.  So
-        one closure is taken per covering flat, not one per element.
+        The independent sets are the subsets of the bases, taken level by
+        level down from the bases.  An independent I spans the flat
+        cl(I) = E - ext(I), where ext(I) holds the e outside I with I + e
+        independent, and r(cl(I)) = |I|; every flat arises this way.  The
+        pass from one level to the next fills ext from the sets one above,
+        so the cost is O(|I(M)| * r) dict probes, within O(|I(M)| * n),
+        with no pass over the bases per flat and no table over all 2^n
+        subsets.  Each flat's rank goes into the rank memo, and _flats
+        keeps for each flat F, in ascending order, a base B holding an
+        independent set that spans F, so |B & F| = r(F): the tight base
+        of the facet test (facets.py).
         """
         if self._flats is None:
-            bottom = self.closure_of(0)
-            seen = {bottom}
-            frontier = [bottom]
-            while frontier:
-                nxt = []
-                for f in frontier:
-                    rest = self.ground.full_mask & ~f
+            full = self.ground.full_mask
+            memo = self._rank_memo
+            found = {full: self.bases.masks[0]}
+            level = {b: b for b in self.bases.masks}
+            for k in range(self.rank - 1, -1, -1):
+                below = {}
+                ext = {}
+                for s, b in level.items():
+                    rest = s
                     while rest:
-                        g = self.closure_of(f | (rest & -rest))
-                        rest &= ~g
-                        if g not in seen:
-                            seen.add(g)
-                            nxt.append(g)
-                frontier = nxt
-            self._flats = tuple(sorted(seen))
-        return self._flats
+                        e = rest & -rest
+                        rest ^= e
+                        t = s ^ e
+                        if t in ext:
+                            ext[t] |= e
+                        else:
+                            ext[t] = e
+                            below[t] = b
+                for t, x in ext.items():
+                    f = full & ~x
+                    if f not in found:
+                        found[f] = below[t]
+                        memo[f] = k
+                level = below
+            self._flats = dict(sorted(found.items()))
+        return tuple(self._flats)
 
     def flats_of_rank(self, k):
         return tuple(f for f in self.flats() if self.rank_of(f) == k)
@@ -271,8 +311,8 @@ class Matroid:
         singleton components.
         """
         if self._components is None:
-            self._components = family_components(
-                self.ground.full_mask, self.bases.masks, self.bases._set)
+            self._components = tuple(side_components(
+                self.ground.full_mask, self.bases.masks[0], self.bases._set))
         return self._components
 
     def is_connected(self):

@@ -61,6 +61,12 @@ def test_facet_reports_errors():
         base_facets(disc)
 
 
+def test_one_element_matroids_have_no_facets():
+    # a point and a loop are connected, and no nonempty proper A exists
+    for m in (uniform_matroid(1, 1), uniform_matroid(0, 1)):
+        assert m.is_connected() and base_facets(m) == []
+
+
 def test_base_dimension_against_affine_oracle():
     # [DERIVED] polytope dimension = |E| - number of components, checked
     # against the rank of the actual vertex coordinates

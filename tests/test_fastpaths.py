@@ -2,8 +2,10 @@
 kernels, the engine's moves and its incremental normalization, the
 overlap merge and the census key on hypothesis-generated inputs, the
 face components and the facet table on every face of a small pool, the
-rank-3 profile and facet rule and the half hyperplane scan on the
-census up to eight points, the face test of verify_decomposition
+flats against the closure walk, the generic-rank facet table against a
+count of the minors' components, and facet duality, the rank-3 profile
+and facet rule and the half hyperplane scan on the census up to eight
+points, the face test of verify_decomposition
 against the ordered-partition recursion and the exchange edges, the
 census key on every family the census enumeration meets up to seven
 points, the profile connectivity rule on every state of small
@@ -27,7 +29,8 @@ from matbase.errors import ExchangeAxiomError, MatbaseError
 from matbase.examples import example_ids, get_example
 from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
-from matbase.matroid import Matroid, _exchange_witness, merge_overlapping
+from matbase.matroid import (Matroid, _exchange_witness, merge_overlapping,
+                             uniform_matroid)
 from matbase.order import iter_included_rank3
 from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Engine,
                            check_rank3_input, facet_graph_components,
@@ -37,12 +40,12 @@ from matbase.setfam import LinearConstraint, bits, ksubsets
 from util import (children, closure_by_rank, exchange_witness_pairs,
                   face_components_by_minors, facet_inequality_by_report,
                   facet_reports_by_counting,
-                  facet_rank2_flats_by_reports, ground,
+                  facet_rank2_flats_by_reports, flats_by_closure, ground,
                   included_by_first_round, is_proper_face_by_levels,
                   line_key_by_permutations,
                   merge_by_union_find, moves_pairwise, normalize_by_masks,
                   normalize_cascade, pool_rank3, pool_small,
-                  rank3_profile_by_flats, relabel_mask,
+                  rank3_profile_by_flats, rank_brute, relabel_mask,
                   run_by_fewest_picks, scan_per_triple, split_families,
                   triple_dependent, two_decompose_by_halves)
 
@@ -444,6 +447,158 @@ def test_rank3_facet_rule_matches_counting():
             assert base_facets(m) == list(counted.values())
             reports += 1
     assert nonsimple and reports < len(inputs)
+
+
+def fresh(m):
+    """m rebuilt with no derived data, so a twin reads no memo of the
+    code under test."""
+    return Matroid(m.ground, m.bases.masks, trusted=True)
+
+
+@functools.lru_cache(maxsize=None)
+def census_and_duals():
+    """The census classes up to eight points and their duals (ranks 1
+    to 5); the duals of the seven- and eight-point classes are the
+    generic-rank inputs of the facet table."""
+    out = []
+    for n in range(4, 9):
+        for m in census_rank3(n):
+            out += [m, m.dual()]
+    return tuple(out)
+
+
+def assert_flats_match_closure_walk(m):
+    # the flats, and the rank each one leaves in the memo
+    got = m.flats()
+    assert got == flats_by_closure(fresh(m))
+    assert [m._rank_memo[f] for f in got] == [rank_brute(m, f) for f in got]
+
+
+def test_flats_match_closure_walk():
+    # pool_small(6) holds loops, coloops and rank 0 and full rank
+    cases = list(pool_small(6)) + list(census_and_duals())
+    assert any(m.loops() for m in cases)
+    for m in cases:
+        assert_flats_match_closure_walk(m)
+
+
+@st.composite
+def matroids(draw):
+    """U(r, n) on at most 7 elements less the bases of a drawn list that
+    leave a matroid, maybe dualized, maybe with a loop added."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(0, n))
+    g = ground(n)
+    masks = list(ksubsets(g.full_mask, r))
+    for drop in draw(st.lists(st.sampled_from(masks), max_size=10)):
+        rest = [b for b in masks if b != drop]
+        if rest and _exchange_witness(rest, frozenset(rest)) is None:
+            masks = rest
+    m = Matroid(g, masks, trusted=True)
+    if draw(st.booleans()):
+        m = m.dual()
+    if draw(st.booleans()):
+        m = m.direct_sum(uniform_matroid(0, 1, ["z"]))
+    return m
+
+
+@given(matroids())
+def test_flats_match_closure_walk_on_random_matroids(m):
+    assert_flats_match_closure_walk(m)
+
+
+def generic_facet_inputs():
+    """The connected matroids of pool_small(6) of a rank other than 3,
+    and the connected duals of the census classes on seven and eight
+    points (ranks 4 and 5) and of the fixtures on at most eight."""
+    out = [m for m in pool_small(6) if m.is_connected() and m.rank != 3]
+    out += [m.dual() for n in (7, 8) for m in census_rank3(n)]
+    out += [m.dual() for eid in example_ids()
+            for m in get_example(eid).matroids.values() if m.ground.n <= 8]
+    return [m for m in out if m.is_connected()]
+
+
+def test_generic_facet_table_matches_counting():
+    # every report field, and the table keys, against a component count
+    # of the minors on every candidate
+    ranks = Counter()
+    for m in generic_facet_inputs():
+        counted = facet_reports_by_counting(fresh(m))
+        assert list(facets._facet_table(m)) == list(counted)
+        assert base_facets(m) == list(counted.values())
+        ranks[m.rank] += 1
+    assert ranks[4] and ranks[5] and ranks[2] and ranks[1]
+
+
+def test_facets_of_dual_are_complements():
+    # B(M*) = 1 - B(M), so (A, r(A))<= is a facet of B(M) exactly when
+    # (E - A, |E - A| - r(E) + r(A))<= is one of B(M*)
+    for m in census_and_duals()[::2]:
+        if not m.is_connected():
+            continue
+        full = m.ground.full_mask
+        want = sorted((full & ~r.flat.mask,
+                       m.ground.n - r.flat.mask.bit_count() - m.rank
+                       + r.rank_at_flat) for r in base_facets(m))
+        got = [(r.flat.mask, r.rank_at_flat) for r in base_facets(m.dual())]
+        assert got == want
+
+
+def test_generic_facet_table_counts_nothing_twice(monkeypatch):
+    # a rank-4 and a rank-5 dual: the table is built once per matroid,
+    # from side probes alone, with no report per candidate
+    builds, reports = Counter(), Counter()
+    build, report = facets._build_facet_table, facets.is_facet_defining_base
+
+    def counted_build(m):
+        builds[id(m)] += 1
+        return build(m)
+
+    def counted_report(m, a):
+        reports[id(m)] += 1
+        return report(m, a)
+
+    monkeypatch.setattr(facets, "_build_facet_table", counted_build)
+    monkeypatch.setattr(facets, "is_facet_defining_base", counted_report)
+    duals = [census_rank3(7)[0].dual(), census_rank3(8)[0].dual()]
+    assert [d.rank for d in duals] == [4, 5]
+    for d in duals:
+        assert d.is_connected()
+        first = base_facets(d)
+        assert first and base_facets(d) == first
+        assert all(is_facet_inequality(d, r.flat.mask, r.rank_at_flat)
+                   for r in first)
+    assert sorted(builds.values()) == [1, 1] and not reports
+
+
+def test_facet_test_stops_at_first_disconnected_side(monkeypatch):
+    # each candidate's sides are tested in turn, the contraction side of
+    # a flat only when its restriction side is connected
+    calls = []
+    probe = facets.side_components
+
+    def recorded(side, b0, base_set):
+        comps = probe(side, b0, base_set)
+        calls.append((side, len(comps)))
+        return comps
+
+    monkeypatch.setattr(facets, "side_components", recorded)
+    m = census_rank3(8)[5].dual()
+    full = m.ground.full_mask
+    facets._facet_table(m)
+    probed = iter(calls)
+    stopped = both = 0
+    for f in m.flats()[1:-1]:
+        side, count = next(probed)
+        assert side == f
+        if count == 1:
+            assert next(probed)[0] == full & ~f
+            both += 1
+        else:
+            stopped += 1
+    assert stopped and both
+    assert (sorted(side for side, _ in probed)
+            == sorted(full & ~(1 << e) for e in range(m.ground.n)))
 
 
 def test_half_scan_matches_full_scan():

@@ -156,6 +156,16 @@ def test_cli_facets(files):
     ]
 
 
+def test_cli_facets_one_element(tmp_path):
+    # a point and a loop have no facet: no rows, exit 0
+    for bases in ([["a"]], [[]]):
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps({"ground": ["a"], "bases": bases}))
+        assert _run(["facets", str(p)]) == (0, "", "")
+        rc, out, _ = _run(["facets", str(p), "--json"])
+        assert rc == 0 and json.loads(out) == []
+
+
 def test_cli_classify(files):
     rc, out, _ = _run(["classify", files["seven"]])
     assert rc == 0

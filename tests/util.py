@@ -16,10 +16,11 @@ from matbase.census import census_rank3
 from matbase.decomp import three_partitions
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
-from matbase.facets import is_facet_defining_base, is_facet_inequality
+from matbase.facets import (FacetReport, is_facet_defining_base,
+                            is_facet_inequality)
 from matbase.matroid import (matroid_from_bases, merge_overlapping,
                              uniform_matroid)
-from matbase.setfam import GroundSet, bits, ksubsets, submasks
+from matbase.setfam import ElementSet, GroundSet, bits, ksubsets, submasks
 
 LETTERS = "abcdefghijkl"
 
@@ -386,14 +387,28 @@ def face_components_by_minors(m, amask):
 
 def facet_reports_by_counting(m):
     """{(flat, rank_at_flat): FacetReport} over the facets of B(m) of a
-    connected m, in mask order, by a component count on every proper
-    nonempty flat and every set E - e.  The twin of the rank-3 facet
-    table (Rank3Profile.facet_keys) and of base_facets."""
+    connected m, in mask order, by counting the components of the minors
+    on every proper nonempty flat of flats_by_closure and every set
+    E - e; trivial by the range of |B & A| over all rank-size sets B.
+    The twin of the facet table (Rank3Profile.facet_keys at rank 3) and
+    of base_facets."""
     full = m.ground.full_mask
-    cands = {f for f in m.flats() if 0 < f < full}
+    cands = {f for f in flats_by_closure(m) if 0 < f < full}
     cands.update(full & ~(1 << i) for i in range(m.ground.n))
-    reps = (is_facet_defining_base(m, amask) for amask in sorted(cands))
-    return {(r.flat.mask, r.rank_at_flat): r for r in reps if r.facet_of_base}
+    points = list(ksubsets(full, m.rank))
+    out = {}
+    for amask in sorted(cands - {0}):
+        comps = face_components_by_minors(m, amask)
+        if len(comps) != 2:
+            continue
+        ra = rank_brute(m, amask)
+        sizes = {(x & amask).bit_count() for x in points}
+        out[(amask, ra)] = FacetReport(
+            flat=ElementSet(m.ground, amask), rank_at_flat=ra,
+            facet_of_base=True,
+            trivial=not (max(sizes) > ra and min(sizes) < ra),
+            components_on_face=comps)
+    return out
 
 
 def rank3_profile_by_flats(m):
@@ -541,6 +556,29 @@ def rank_brute(m, xmask):
     for b in m.bases:
         best = max(best, (b & xmask).bit_count())
     return best
+
+
+def flats_by_closure(m):
+    """All flats of m, ascending, by a closure walk up from cl(empty):
+    the flats covering a flat F are the closures cl(F + e), and they
+    partition E - F, so one closure is taken per covering flat.  The
+    twin of Matroid.flats."""
+    full = m.ground.full_mask
+    bottom = m.closure_of(0)
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            rest = full & ~f
+            while rest:
+                g = m.closure_of(f | (rest & -rest))
+                rest &= ~g
+                if g not in seen:
+                    seen.add(g)
+                    nxt.append(g)
+        frontier = nxt
+    return tuple(sorted(seen))
 
 
 def closure_by_rank(m, xmask):
