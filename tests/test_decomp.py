@@ -5,7 +5,8 @@ and the small-ground census."""
 import pytest
 
 from matbase import decomp
-from matbase.census import census_rank3, neither_binary_nor_two_decomposable
+from matbase.census import (census_rank3, iter_line_families,
+                            neither_binary_nor_two_decomposable)
 from matbase.decomp import (CLASS_LABELS, DecompositionReport,
                             _is_proper_face, classify, facet_graph,
                             find_decomposition_rank3,
@@ -455,6 +456,12 @@ def test_census_counts():
         census_rank3(3)
     with pytest.raises(ConstraintError):
         census_rank3(10)
+    # a ground size that is not an int
+    for bad in (8.0, "8", 8.5):
+        with pytest.raises(ConstraintError):
+            census_rank3(bad)
+        with pytest.raises(ConstraintError):
+            list(iter_line_families(bad))
 
 
 def test_census_count_nine():

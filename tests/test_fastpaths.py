@@ -21,27 +21,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matbase import facets
-from matbase.census import (_candidate_lines, _extensions, canonical_key,
+from matbase.census import (_beam, _candidate_lines, _invariant, _matches,
+                            _orbit_lines, _pairs, canonical_key,
                             census_rank3, iter_line_families,
                             matroid_of_lines)
 from matbase.decomp import _is_proper_face, classify, two_decompose
-from matbase.errors import ExchangeAxiomError, MatbaseError
+from matbase.errors import (ConstraintError, EmptyFamilyError,
+                            ExchangeAxiomError, GroundMismatchError,
+                            MatbaseError)
 from matbase.examples import example_ids, get_example
 from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
 from matbase.matroid import (Matroid, _exchange_witness, merge_overlapping,
-                             uniform_matroid)
+                             matroid_from_flat_constraints, uniform_matroid)
 from matbase.order import iter_included_rank3
 from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Engine,
                            check_rank3_input, facet_graph_components,
                            facet_rank2_flats, rank3_profile, search_profiles)
-from matbase.setfam import LinearConstraint, bits, ksubsets
+from matbase.setfam import GroundSet, LinearConstraint, bits, ksubsets
 
-from util import (children, closure_by_rank, exchange_witness_pairs,
+from util import (automorphisms, children, closure_by_rank, count_beams,
+                  exchange_witness_pairs,
                   face_components_by_minors, facet_inequality_by_report,
                   facet_reports_by_counting,
                   facet_rank2_flats_by_reports, flats_by_closure, ground,
                   included_by_first_round, is_proper_face_by_levels,
+                  line_extensions, line_families_by_keys,
                   line_key_by_permutations,
                   merge_by_union_find, moves_pairwise, normalize_by_masks,
                   normalize_cascade, pool_rank3, pool_small,
@@ -713,8 +718,111 @@ def test_canonical_key_on_census_families(n):
     # of each representative by one candidate line
     candidates = _candidate_lines(n)
     for fam in iter_line_families(n):
-        for raw in _extensions(fam, candidates):
+        for raw in line_extensions(fam, candidates):
             assert canonical_key(raw) == line_key_by_permutations(n, raw)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_line_families_match_level_loop(n):
+    # one extension per orbit and the walk against keying every raw
+    # extension of every representative: the same families in the same
+    # order
+    assert list(iter_line_families(n)) == line_families_by_keys(n)
+
+
+def test_census_beams_once_per_class(monkeypatch):
+    # one full beam per class but the empty family; keying every raw
+    # family took 214 and 805
+    counts = count_beams(monkeypatch)
+    for n, classes in ((7, 22), (8, 67)):
+        counts.clear()
+        assert len(list(iter_line_families(n))) == classes
+        assert counts["beams"] == classes - 1
+
+
+def test_orbit_lines_match_automorphisms():
+    # on every class up to seven points: the least line of each orbit of
+    # the automorphisms found among all n! permutations, among the lines
+    # that can extend the class
+    cases = 0
+    for n in range(4, 8):
+        candidates = [(line, _pairs(n, line))
+                      for line in sorted(_candidate_lines(n))]
+        for fam in iter_line_families(n):
+            auts = automorphisms(n, fam)
+            want = []
+            seen = set()
+            for line, _ in candidates:
+                if line not in seen and all(
+                        (line & old).bit_count() <= 1 for old in fam):
+                    # candidates ascend: the first line met of an orbit
+                    # is its least
+                    seen.update(relabel_mask(line, p) for p in auts)
+                    want.append(line)
+            assert _orbit_lines(n, fam, _beam(fam)[1], candidates) == want
+            cases += 1
+    assert cases == 34
+
+
+@given(line_families(), line_families(), st.randoms(use_true_random=False))
+def test_walk_matches_key_equality(case, other, rng):
+    n, fam = case
+    key = canonical_key(fam)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    copy = [relabel_mask(line, perm) for line in fam]
+    rng.shuffle(copy)
+    assert _invariant(n, copy) == _invariant(n, fam)
+    assert _matches(copy, key)
+    m, lines = other
+    if (m, len(lines)) == (n, len(fam)):
+        assert _matches(lines, key) == (canonical_key(lines) == key)
+
+
+# census classes on nine points that share their invariant, each group
+# pairwise non-isomorphic; no two classes on fewer points share one
+SHARED_INVARIANTS = [
+    [(7, 25, 42, 196, 336, 416), (7, 25, 98, 168, 336, 388)],
+    [(7, 25, 42, 52, 193, 322, 388), (7, 25, 42, 76, 176, 336, 385),
+     (7, 25, 42, 84, 164, 322, 385)],
+]
+
+
+def test_walk_on_shared_invariants():
+    rng = random.Random(9)
+    for group in SHARED_INVARIANTS:
+        keys = [canonical_key(fam) for fam in group]
+        assert len(set(keys)) == len(group)
+        assert len({_invariant(9, fam) for fam in group}) == 1
+        for fam, key in zip(group, keys):
+            perm = list(range(9))
+            rng.shuffle(perm)
+            assert _matches([relabel_mask(line, perm) for line in fam], key)
+            assert [_matches(fam, other) for other in keys] == [
+                other == key for other in keys]
+
+
+def test_matroid_of_lines_matches_flat_constraints():
+    cases = 0
+    for n in range(4, 9):
+        for fam in iter_line_families(n):
+            m = matroid_of_lines(n, fam)
+            want = matroid_from_flat_constraints(
+                m.ground, 3, [(line, 2) for line in fam])
+            assert (m.ground, m.bases) == (want.ground, want.bases)
+            cases += 1
+    assert cases == 101
+    # a point outside the ground; two lines sharing two points; a line
+    # holding every triple; too few points for rank 3
+    for n, lines, error in ((4, [0b10011], GroundMismatchError),
+                            (5, [0b111, 0b1011], ExchangeAxiomError),
+                            (4, [0b1111], EmptyFamilyError),
+                            (2, [], ConstraintError)):
+        with pytest.raises(error):
+            matroid_of_lines(n, lines)
+        with pytest.raises(error):
+            matroid_from_flat_constraints(
+                GroundSet("abcde"[:n]), 3, [(line, 2) for line in lines])
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,17 +2,17 @@
 
 Everything here recomputes answers from definitions, independently of
 the library's own algorithms, so tests can compare the two.
-count_searches counts the rank-3 engine runs and matroid builds, and
+count_searches counts the rank-3 engine runs and matroid builds,
 count_engine_steps the engine's pops, move lists and connectivity
-tests.
+tests, and count_beams the census's full canonical-key beams.
 """
 
 import itertools
 import random
 from collections import Counter
 
-from matbase import rank3
-from matbase.census import census_rank3
+from matbase import census, rank3
+from matbase.census import _candidate_lines, canonical_key, census_rank3
 from matbase.decomp import three_partitions
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
@@ -543,6 +543,41 @@ def line_key_by_permutations(n, lines):
                for weight in itertools.permutations([1 << i for i in range(n)]))
 
 
+def line_extensions(fam, candidates):
+    """The sorted families one candidate line larger than fam, with the
+    new line meeting each old one in at most one point (a line of fam
+    meets itself in at least three)."""
+    for line in candidates:
+        if all((line & old).bit_count() <= 1 for old in fam):
+            yield tuple(sorted(fam + (line,)))
+
+
+def line_families_by_keys(n):
+    """One line family per class on n points, by the level loop that
+    keys every raw extension of every representative: the least raw
+    family of each key, each level in key order.  The twin of
+    census.iter_line_families."""
+    candidates = _candidate_lines(n)
+    out = [()]
+    level = [()]
+    while level:
+        raw = {ext for fam in level for ext in line_extensions(fam, candidates)}
+        nxt = {}
+        for fam in sorted(raw):
+            nxt.setdefault(canonical_key(fam), fam)
+        level = [nxt[k] for k in sorted(nxt)]
+        out += level
+    return out
+
+
+def automorphisms(n, lines):
+    """The permutations of the n points that map the line family onto
+    itself, by trying all n! of them."""
+    family = set(lines)
+    return [perm for perm in itertools.permutations(range(n))
+            if all(relabel_mask(line, perm) in family for line in lines)]
+
+
 def try_matroid(g, masks):
     try:
         return matroid_from_bases(g, masks)
@@ -721,6 +756,19 @@ def count_searches(monkeypatch):
 
     monkeypatch.setattr(rank3._Engine, "run", counted_run)
     monkeypatch.setattr(rank3.Rank3Profile, "matroid", counted_build)
+    return counts
+
+
+def count_beams(monkeypatch):
+    """Count the census's full canonical-key beams from now on."""
+    counts = Counter()
+    beam = census._beam
+
+    def counted_beam(lines):
+        counts["beams"] += 1
+        return beam(lines)
+
+    monkeypatch.setattr(census, "_beam", counted_beam)
     return counts
 
 
