@@ -470,10 +470,10 @@ def find_decomposition_rank3(m, max_pieces=16):
 
 
 def _check_max_pieces(max_pieces):
-    if max_pieces < 2:
+    if type(max_pieces) is not int or max_pieces < 2:
         raise ConstraintError(
-            "a decomposition needs at least two pieces, got max_pieces=%d"
-            % max_pieces)
+            "max_pieces takes an int: a decomposition needs at least two "
+            "pieces, got max_pieces=%r" % (max_pieces,))
 
 
 def _seed_pieces(m, nonorig):
@@ -570,9 +570,11 @@ def classify(m, max_pieces=16):
 
     Binary and 2-split tests are rank-independent; separating the
     remaining kinds needs the rank-3 inclusion search, so other ranks
-    raise InconclusiveError past those two tests.  Non-simple or
-    disconnected input is rejected: simplify, or classify per component.
-    A max_pieces below 2 is a ConstraintError.
+    raise InconclusiveError past those two tests.  Kinds b and c rest on
+    that search, which can miss systems from eight points on
+    (enumerate_included_rank3).  Non-simple or disconnected input is
+    rejected: simplify, or classify per component.  A max_pieces that
+    is not an int (bool included) or is below 2 is a ConstraintError.
     """
     _check_max_pieces(max_pieces)
     if not m.is_connected():

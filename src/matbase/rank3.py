@@ -173,12 +173,6 @@ class Rank3Profile:
                 keys.append((rest, 3))
         return sorted(keys)
 
-    def dependent_triples(self):
-        """Masks of the 3-subsets of the support that are dependent."""
-        tri = _Triples(self.support())
-        return frozenset(tri.masks_of(tri.dependent(self.classes,
-                                                    self.long_lines)))
-
     def matroid(self):
         """Reconstruct the matroid; elements outside the support are loops.
         The matroid keeps this profile, which rank3_profile returns."""
@@ -420,57 +414,41 @@ def propagate(m, c):
 
 
 class _Engine:
-    """Backtracking over (classes, lines) states.
+    """Backtracking over the connected (classes, lines) states on a
+    ground mask, from seed classes towards every mandatory triple
+    dependent.
 
     Every move comes from _picks, over a sorted group of the state's
     classes: merge two of them, or add a line through three that no line
-    holds yet.  Cover phase makes every mandatory triple dependent,
-    branching on the first uncovered triple whose group (the classes it
-    meets) has the fewest moves.  Grow phase then takes every move over
-    all classes.  A normalized state has every line a union of >= 3
-    classes, and no two lines sharing >= 2 classes; _child keeps that
-    form from one state to the next, re-normalizing only the lines that
-    meet the move.  Dependencies only grow along any move, so upper-bound
-    violations prune permanently.
+    holds yet.  Cover phase branches on the first uncovered triple: it
+    is independent, so it meets three classes a, b and c, no line holds
+    a | b | c, and its moves are the three merges and that line.  Grow
+    phase then takes every move over all classes.  A normalized state
+    has every line a union of >= 3 classes, and no two lines sharing
+    >= 2 classes; _child keeps that form from one state to the next,
+    re-normalizing only the lines that meet the move.
 
-    With no dep_max the cover phase builds the moves of the first
-    uncovered triple alone.  That is exact: an uncovered triple t is
-    independent, so it meets three classes a, b and c, and no line holds
-    a | b | c, which holds t.  So t has exactly four moves, the three
-    merges and the line, every uncovered triple ties, and the
-    fewest-moves rule keeps the first.  Under a bound the moves of each
-    uncovered triple are built in turn and the fewest kept; the scan
-    stops at a triple with none.
+    The search is not complete.  _child joins two lines that share two
+    classes, and drops a state whose lines hold every class; both are
+    forced only while those classes stay apart, and a later merge can
+    make them parallel.  A system reached only by such a merge is
+    missed, as some are below census_rank3(8) classes 50, 51, 57, 59.
 
-    mandatory and dep_max are _Triples bitsets over the support.  Moves
-    are made only from a popped state that _scan found alive, whose
-    dependent triples already lie in dep_max, so a move is tested on the
-    triples it adds alone: those meeting a | b twice for a merge of a
-    and b, those inside it for a new line.
-
-    With full, the mask of the whole ground, a new state whose matroid
-    is disconnected (_connected) is put in seen but never pushed, so
-    nothing below it is searched; the start state is tested the same
-    way.  That is exact: a child has the same rank and fewer bases, and
-    when B(M') lies in B(M) at equal rank, every separator A of M,
-    r(A) + r(E-A) = r(E), is one of M' too, since r' <= r and
-    r'(E) = r(E).  So every descendant of a disconnected state is
-    disconnected or dead, and a connected state is only reached from a
-    connected parent.  A disconnected state on the stack would yield
-    nothing and push nothing, so leaving it off changes neither the
-    connected states nor their order.
+    A new state whose matroid is disconnected (_connected) is put in
+    seen but never pushed, so nothing below it is searched; the start
+    state is tested the same way.  That is exact: a child has the same
+    rank and fewer bases, and when B(M') lies in B(M) at equal rank,
+    every separator A of M, r(A) + r(E-A) = r(E), is one of M' too, since
+    r' <= r and r'(E) = r(E).  So every descendant of a disconnected
+    state is disconnected or dead.
     """
 
-    def __init__(self, support, mandatory, dep_max=None, cert1=(), cert2=(),
-                 full=None):
+    def __init__(self, support, mandatory, cert1=(), cert2=()):
         self.support = support
-        self.full = full
         self.cert1 = tuple(cert1)
         self.cert2 = tuple(cert2)
         self.tri = _Triples(support)
         self.mandatory_bits = self.tri.bitset(mandatory)
-        self.dep_max_bits = (None if dep_max is None
-                             else self.tri.bitset(dep_max))
 
     def _guards_ok(self, classes, lines):
         # certified flats must remain unions of classes in the end
@@ -487,33 +465,18 @@ class _Engine:
 
     def _scan(self, classes, lines):
         """The uncovered mandatory triples of a normalized state, as a
-        bitset over the support's triples, or None when it is dead.
-
-        The state's dependent triples are built once, from its lines and
-        non-singleton classes.  It is alive when they all lie in dep_max;
-        the bits of the uncovered triples run in ksubsets order over the
-        support, which fixes the branching order of run().
-        """
-        dep = self.tri.dependent(classes, lines)
-        if self.dep_max_bits is not None and dep & ~self.dep_max_bits:
-            return None
-        return self.mandatory_bits & ~dep
+        bitset over the ground's triples in ksubsets order, which fixes
+        the branching order of run()."""
+        return self.mandatory_bits & ~self.tri.dependent(classes, lines)
 
     def _picks(self, lines, group):
-        """The moves of a live state over a sorted group of its classes
-        that stay inside dep_max, in combination order: each merge of
-        two, as a pair, then each new line through three that no line
-        holds yet, as its mask."""
-        bound = self.dep_max_bits
-        out = []
-        for a, b in itertools.combinations(group, 2):
-            if bound is None or not self.tri.dependent((a | b,), ()) & ~bound:
-                out.append((a, b))
+        """The moves of a state over a sorted group of its classes, in
+        combination order: each merge of two, as a pair, then each new
+        line through three that no line holds yet, as its mask."""
+        out = list(itertools.combinations(group, 2))
         for pick in itertools.combinations(group, 3):
             lmask = pick[0] | pick[1] | pick[2]
-            if any(lmask & ~l == 0 for l in lines):
-                continue
-            if bound is None or not self.tri.dependent((), (lmask,)) & ~bound:
+            if not any(lmask & ~l == 0 for l in lines):
                 out.append(lmask)
         return out
 
@@ -566,65 +529,40 @@ class _Engine:
             return None
         return tuple(classes), tuple(sorted(kept))
 
-    def _kept(self, classes, lines):
-        """Whether a new state goes on the stack: always without full,
-        else when its matroid is connected."""
-        return self.full is None or _connected(self.full, self.support,
-                                               classes, lines)
-
     def run(self, seed_classes):
-        """Yield every normalized reachable state with mandatory covered
-        (and, with full, connected), starting from the seed classes with
-        no lines."""
+        """Yield every normalized connected state reachable from the seed
+        classes with no lines that has mandatory covered."""
         start = (tuple(sorted(seed_classes)), ())
+        full = self.support
         if (len(start[0]) < 3 or not self._guards_ok(*start)
-                or not self._kept(*start)):
+                or not _connected(full, full, *start)):
             return
         seen = {start}
         stack = [start]
         while stack:
             classes, lines = stack.pop()
             uncovered = self._scan(classes, lines)
-            if uncovered is None:
-                continue
-            if not uncovered:
-                yield classes, lines
-                picks = self._picks(lines, classes)
-            elif self.dep_max_bits is None:
+            if uncovered:
                 # every uncovered triple has four moves: take the first
                 t = self.tri.masks[(uncovered & -uncovered).bit_length() - 1]
                 picks = self._picks(lines, [c for c in classes if c & t])
             else:
-                # branch on the most constrained uncovered triple
-                picks = None
-                for t in self.tri.masks_of(uncovered):
-                    moves = self._picks(lines, [c for c in classes if c & t])
-                    if picks is None or len(moves) < len(picks):
-                        picks = moves
-                        if not picks:
-                            break
+                yield classes, lines
+                picks = self._picks(lines, classes)
             for pick in picks:
                 state = self._child(classes, lines, pick)
                 if state is not None and state not in seen:
                     seen.add(state)
-                    if self._kept(*state):
+                    if _connected(full, full, *state):
                         stack.append(state)
 
 
-def search_profiles(m, constraints=None, *, dep_max=None, support=None,
-                    connected_only=True):
-    """Yield the Rank3Profile of every included matroid the engine
-    reaches that meets all constraints, in search order.
+def search_profiles(m, constraints=None):
+    """Yield the Rank3Profile of every connected matroid on the ground
+    of m, with B(M') inside B(m), that the engine reaches and that meets
+    all constraints, in search order.
 
-    support: the non-loops (default the whole ground); every 3-subset of
-    it that is no base of m must stay dependent.  dep_max: the triples
-    allowed to be dependent (None for no bound).  With connected_only,
-    the engine prunes every state whose matroid is disconnected, and
-    everything below it.
-
-    Constraints are taken only by the connected search over the whole
-    ground; with a smaller support or without connected_only they raise
-    ConstraintError.  The search starts from their closure under
+    The search starts from the closure of the constraints under
     propagate: its rank-1 sets are merged into the seed classes, the
     triples of its rank-2 sets become dependent, and the require_facet
     entries are certified flats that every state keeps; a
@@ -636,13 +574,8 @@ def search_profiles(m, constraints=None, *, dep_max=None, support=None,
     """
     ground = m.ground
     full = ground.full_mask
-    if support is None:
-        support = full
     if constraints is None:
         constraints = closure = InclusionConstraints()
-    elif not connected_only or support != full:
-        raise ConstraintError("constraints need the connected search over "
-                              "the whole ground")
     else:
         try:
             closure = propagate(m, constraints)
@@ -653,20 +586,15 @@ def search_profiles(m, constraints=None, *, dep_max=None, support=None,
            or c.bound == 2 and c.support.bit_count() < 3
            for c in constraints.require_facet):
         return
-    mandatory = {t for t in ksubsets(support, 3) if t not in m.bases}
+    mandatory = {t for t in ksubsets(full, 3) if t not in m.bases}
     for a in closure.forced_rank2:
         mandatory.update(ksubsets(a, 3))
-    if dep_max is not None:
-        dep_max = frozenset(dep_max)
-        if not mandatory <= dep_max:
-            return
     cert1 = [c.support for c in constraints.require_facet if c.bound == 1]
     cert2 = [c.support for c in constraints.require_facet if c.bound == 2]
-    engine = _Engine(support, mandatory, dep_max, cert1, cert2,
-                     full if connected_only else None)
+    engine = _Engine(full, mandatory, cert1, cert2)
     # an empty forced set joins nothing and is no class
     seed = [c for c in merge_overlapping(
-        [1 << i for i in bits(support)] + list(closure.forced_rank1)) if c]
+        [1 << i for i in bits(full)] + list(closure.forced_rank1)) if c]
     for classes, lines in engine.run(seed):
         profile = Rank3Profile(ground, classes, lines)
         if _finalize_ok(profile, constraints):

@@ -414,6 +414,16 @@ def test_piece_cap_below_two_rejected(cap):
             search(m, max_pieces=cap)
 
 
+@pytest.mark.parametrize("cap", ["3", None, 2.5, 3.0, True, False])
+def test_piece_cap_not_an_int_rejected(cap):
+    # a string or None raised a bare TypeError, 2.5 searched "within 2
+    # pieces" and True read as 1
+    m = get_example("seven_typed")["M"]
+    for search in (find_decomposition_rank3, classify):
+        with pytest.raises(ConstraintError, match="takes an int"):
+            search(m, max_pieces=cap)
+
+
 def test_classify_fixtures():
     assert classify(get_example("m2")["M"]).kind == "a"
     assert classify(get_example("minimal")["M"]).kind == "b"
@@ -535,13 +545,13 @@ def test_classify_searches_once(monkeypatch):
 
 def test_classify_engine_steps(monkeypatch):
     # census_rank3(7)[17] is one of the two classes at n = 7 that classify
-    # sends to the inclusion search.  Under no bound the engine builds
-    # moves once per live popped state, and with connected pruning it
+    # sends to the inclusion search.  The engine builds moves once per
+    # popped state, and with connected pruning it
     # tests each new state before pushing it, so it pops no disconnected
     # state; a full pick scan or a drop after the pop breaks a count
     m = census_rank3(7)[17]
     counts = count_engine_steps(monkeypatch)
     assert classify(m).kind == "d"
-    assert counts["picks"] == counts["live"] > 50
+    assert counts["picks"] == counts["popped"] > 50
     assert counts["tested"] > counts["popped"]
     assert counts["disconnected_popped"] == counts["late_tests"] == 0

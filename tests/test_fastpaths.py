@@ -8,9 +8,10 @@ and facet rule and the half hyperplane scan on the census up to eight
 points, the face test of verify_decomposition
 against the ordered-partition recursion and the exchange edges, the
 census key on every family the census enumeration meets up to seven
-points, the profile connectivity rule on every state of small
-searches, and the constrained inclusion search against the engine
-seeded with the first round of the forcing rules."""
+points, the profile connectivity and flat rules on every rank-3 system
+below small matroids, the inclusion search against those systems, and
+the constrained inclusion search against the engine seeded with the
+first round of the forcing rules."""
 
 import functools
 import itertools
@@ -52,7 +53,7 @@ from util import (automorphisms, children, closure_by_rank, count_beams,
                   normalize_cascade, pool_rank3, pool_small,
                   rank3_profile_by_flats, rank_brute, relabel_mask,
                   run_by_fewest_picks, scan_per_triple, split_families,
-                  triple_dependent, two_decompose_by_halves)
+                  systems_below, two_decompose_by_halves)
 
 
 @st.composite
@@ -116,18 +117,13 @@ def test_exchange_error_carries_pair_loop_witness(case):
 
 
 def random_engine_state(rng):
-    """An _Engine over a random support with random mandatory triples and
-    dep_max, both also returned, and a (classes, lines) state on that
-    support: classes partition the support, lines are unions of at least
-    three classes."""
+    """An _Engine over a random ground with random mandatory triples,
+    also returned, and a (classes, lines) state on that ground: classes
+    partition it, lines are unions of at least three classes."""
     n = rng.randint(4, 8)
     elems = sorted(rng.sample(range(n), rng.randint(3, n)))
     support = sum(1 << i for i in elems)
-    triples = list(ksubsets(support, 3))
-    mandatory = {t for t in triples if rng.random() < 0.3}
-    dep_max = None
-    if rng.random() < 0.5:
-        dep_max = {t for t in triples if rng.random() < 0.8} | mandatory
+    mandatory = {t for t in ksubsets(support, 3) if rng.random() < 0.3}
     by_tag = {}
     for i in elems:
         tag = rng.randrange(2 * len(elems))
@@ -138,8 +134,8 @@ def random_engine_state(rng):
         for _ in range(rng.randint(0, 3)):
             lines.append(sum(rng.sample(classes, rng.choice(
                 [3, 3, rng.randint(3, len(classes))]))))
-    engine = _Engine(support, mandatory, dep_max)
-    return engine, mandatory, dep_max, tuple(classes), tuple(sorted(lines))
+    engine = _Engine(support, mandatory)
+    return engine, mandatory, tuple(classes), tuple(sorted(lines))
 
 
 @st.composite
@@ -151,48 +147,29 @@ def engine_states(draw):
 
 @given(engine_states())
 def test_scan_matches_per_triple_loop(case):
-    engine, mandatory, dep_max, classes, lines = case
-    uncovered = engine._scan(classes, lines)
-    got = ((False, ()) if uncovered is None
-           else (True, engine.tri.masks_of(uncovered)))
-    assert got == scan_per_triple(
-        engine.support, mandatory, dep_max, classes, lines)
+    engine, mandatory, classes, lines = case
+    assert engine.tri.masks_of(engine._scan(classes, lines)) == (
+        scan_per_triple(engine.support, mandatory, classes, lines))
 
 
 @given(engine_states())
 def test_moves_match_pairwise_rules(case):
-    # on each live state, under no bound, the drawn bound, and the drawn
-    # bound widened to keep the state alive: the grow moves, and the
-    # moves covering each uncovered triple
-    engine, mandatory, dep_max, classes, lines = case
-    support = engine.support
-    bounds = [None]
-    if dep_max is not None:
-        cls_of = {i: c for c in classes for i in bits(c)}
-        state_dep = {t for t in ksubsets(support, 3)
-                     if triple_dependent(t, cls_of, lines)}
-        bounds += [dep_max, dep_max | state_dep]
-    for bound in bounds:
-        engine = _Engine(support, mandatory, bound)
-        uncovered = engine._scan(classes, lines)
-        if uncovered is None:
-            continue
+    # the grow moves, and the moves covering each uncovered triple
+    engine, _, classes, lines = case
+    assert children(classes, lines, engine._picks(
+        lines, classes)) == moves_pairwise(classes, lines)
+    for t in engine.tri.masks_of(engine._scan(classes, lines)):
+        group = [c for c in classes if c & t]
         assert children(classes, lines, engine._picks(
-            lines, classes)) == moves_pairwise(support, bound, classes, lines)
-        for t in engine.tri.masks_of(uncovered):
-            group = [c for c in classes if c & t]
-            assert children(classes, lines, engine._picks(
-                lines, group)) == moves_pairwise(
-                    support, bound, classes, lines, t)
+            lines, group)) == moves_pairwise(classes, lines, t)
 
 
 @given(engine_states())
 def test_uncovered_triples_have_four_moves(case):
-    # under no bound an uncovered triple meets three classes a < b < c
-    # and no line holds a | b | c, so its moves are the three merges and
-    # the line, and run() may take the first uncovered triple
-    engine, mandatory, _, classes, lines = case
-    engine = _Engine(engine.support, mandatory)
+    # an uncovered triple meets three classes a < b < c and no line
+    # holds a | b | c, so its moves are the three merges and the line,
+    # and run() may take the first uncovered triple
+    engine, _, classes, lines = case
     for t in engine.tri.masks_of(engine._scan(classes, lines)):
         a, b, c = [k for k in classes if k & t]
         assert engine._picks(lines, [a, b, c]) == [(a, b), (a, c), (b, c),
@@ -201,24 +178,21 @@ def test_uncovered_triples_have_four_moves(case):
 
 def test_run_matches_fewest_picks_twin():
     # small random engines, from their drawn classes or from singletons,
-    # with no bound and the drawn one, with and without full, half the
-    # time guarding random certified flats: the same stream of states
-    yielded = Counter()
+    # half the time guarding random certified flats: the same stream of
+    # states
+    yielded = 0
     for seed in range(200):
         rng = random.Random(seed)
-        engine, mandatory, dep_max, classes, _ = random_engine_state(rng)
+        engine, mandatory, classes, _ = random_engine_state(rng)
         support = engine.support
         if rng.random() < 0.5:
             classes = [1 << i for i in bits(support)]
         certs = random_certs(list(bits(support)), rng)
-        bounds = (None,) if dep_max is None else (None, dep_max)
-        for bound in bounds:
-            for full in (None, support):
-                engine = _Engine(support, mandatory, bound, *certs, full=full)
-                got = list(engine.run(classes))
-                assert got == list(run_by_fewest_picks(engine, classes))
-                yielded[bound is None, full is None] += len(got)
-    assert len(yielded) == 4 and min(yielded.values()) > 0
+        engine = _Engine(support, mandatory, *certs)
+        got = list(engine.run(classes))
+        assert got == list(run_by_fewest_picks(engine, classes))
+        yielded += len(got)
+    assert yielded > 0
 
 
 def random_certs(elems, rng):
@@ -237,14 +211,14 @@ def normalize_inputs(case, rng):
     """Unnormalized states on the support of a drawn case, each with an
     engine to normalize it: the drawn state, the drawn classes with up
     to three raw lines (any masks of at least two elements, not unions
-    of classes), and the child of every pick of either one with no
-    bound, over all classes and over the classes each mandatory triple
-    meets.  Half the time the engine also guards random certified flats
-    of rank 1 and 2."""
-    engine, mandatory, _, classes, lines = case
+    of classes), and the child of every pick of either one, over all
+    classes and over the classes each mandatory triple meets.  Half the
+    time the engine also guards random certified flats of rank 1 and
+    2."""
+    engine, mandatory, classes, lines = case
     support = engine.support
     elems = list(bits(support))
-    engine = _Engine(support, mandatory, None, *random_certs(elems, rng))
+    engine = _Engine(support, mandatory, *random_certs(elems, rng))
     raw = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
         2, len(elems)))) for _ in range(rng.randint(1, 3)))
     for state in ((classes, lines), (classes, raw)):
@@ -281,12 +255,12 @@ def test_normalize_matches_cascade_dead_and_kept():
 
 def child_inputs(case, rng):
     """(engine, parent, pick) for the drawn state normalized by the
-    cascade, if it lives, and each of its picks with no bound, over all
-    classes and over the classes each mandatory triple meets.  Half the
+    cascade, if it lives, and each of its picks, over all classes and
+    over the classes each mandatory triple meets.  Half the
     time the engine also guards random certified flats."""
-    engine, mandatory, _, classes, lines = case
+    engine, mandatory, classes, lines = case
     support = engine.support
-    engine = _Engine(support, mandatory, None,
+    engine = _Engine(support, mandatory,
                      *random_certs(list(bits(support)), rng))
     parent = normalize_cascade(engine, classes, lines)
     if parent is None:
@@ -827,16 +801,17 @@ def test_matroid_of_lines_matches_flat_constraints():
 
 @functools.lru_cache(maxsize=None)
 def walked_profiles():
-    """Every profile the search yields, connected or not, with its
-    matroid, on the census classes up to six points and seven_typed,
-    with the whole ground as support and with one element made a loop."""
+    """Every rank-3 profile, connected or not, below the census classes
+    up to six points and seven_typed, with its matroid: those of the
+    twin rank3_systems with no loop, and with the first element as the
+    one loop."""
     out = []
     for m in ([m for n in range(4, 7) for m in census_rank3(n)]
               + [get_example("seven_typed")["M"]]):
-        full = m.ground.full_mask
-        for support in (full, full & ~1):
-            out += [(p, p.matroid()) for p in search_profiles(
-                m, support=support, connected_only=False)]
+        for loops in (0, 1):
+            for classes, lines, _ in systems_below(m, loops):
+                p = Rank3Profile(m.ground, classes, lines)
+                out.append((p, p.matroid()))
     return tuple(out)
 
 
@@ -869,34 +844,30 @@ def test_profile_flat_and_facet_rules_match_matroid():
     assert facets
 
 
-def pruned_matches_filtered(m, support=None):
-    """The pruned search against the full one filtered by is_connected:
-    the same profiles in the same order.  Returns how many."""
-    if support is None:
-        support = m.ground.full_mask
-    pruned = [p.key() for p in search_profiles(m, support=support)]
-    full = [p.key() for p in search_profiles(
-        m, support=support, connected_only=False)
-        if p.is_connected()]
-    assert pruned == full
+def pruned_matches_filtered(m):
+    """The pruned search against the loopless systems below m that the
+    twin rank3_systems lists, filtered by is_connected: the same
+    profiles, each once.  Returns how many."""
+    pruned = [p.key() for p in search_profiles(m)]
+    twin = [(classes, lines) for classes, lines, _ in systems_below(m, 0)
+            if Rank3Profile(m.ground, classes, lines).is_connected()]
+    assert len(set(pruned)) == len(pruned)
+    assert sorted(pruned) == sorted(twin)
     return len(pruned)
 
 
 def cheap_to_search(m):
     """Not a rank-3 matroid on 7 points with at most one dependent triple
-    (34 or 35 bases): the full search on U(3,7) alone yields 22,172
-    profiles and takes seconds."""
+    (34 or 35 bases): the search on U(3,7) alone yields 19,638 profiles
+    and takes seconds."""
     return m.ground.n < 7 or len(m.bases) <= 33
 
 
 def test_pruned_search_matches_filtered_on_census():
     # every census class up to seven points but U(3,7) and the single
-    # 3-point line, with the whole ground as support and with one
-    # element made a loop (which leaves nothing)
-    found = 0
-    for m in filter(cheap_to_search, CENSUS_TO_7):
-        found += pruned_matches_filtered(m)
-        assert pruned_matches_filtered(m, m.ground.full_mask & ~1) == 0
+    # 3-point line
+    found = sum(pruned_matches_filtered(m)
+                for m in filter(cheap_to_search, CENSUS_TO_7))
     assert found > len(CENSUS_TO_7)
 
 
@@ -913,11 +884,11 @@ def rank3_fixtures(n_max):
 
 
 def test_pruned_search_matches_filtered_on_fixtures():
-    # every fixture matroid check_rank3_input accepts, lucascon M1 among
-    # them, except the 12-element one, which takes longer than the rest
-    # of the module together
-    counts = [pruned_matches_filtered(m) for m in rank3_fixtures(11)]
-    assert len(counts) >= 10 and max(counts) >= 100
+    # every fixture matroid on at most seven points that
+    # check_rank3_input accepts; the twin lists every system on the
+    # ground, 22,172 loopless ones at seven points
+    counts = [pruned_matches_filtered(m) for m in rank3_fixtures(7)]
+    assert len(counts) >= 7 and max(counts) >= 10
 
 
 @given(line_families(max_n=6))

@@ -7,6 +7,7 @@ count_engine_steps the engine's pops, move lists and connectivity
 tests, and count_beams the census's full canonical-key beams.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -131,18 +132,106 @@ def triple_dependent(t, cls_of, lines):
     return any(t & ~l == 0 for l in lines)
 
 
-def scan_per_triple(support, mandatory, dep_max, classes, lines):
-    """(alive, uncovered) of an _Engine state by testing every
-    3-subset of the support on its own; the twin of _Engine._scan."""
+@functools.lru_cache(maxsize=None)
+def linear_spaces(k):
+    """Every linear space of rank 3 on the points 0..k-1, as the sorted
+    tuple of its lines of three or more points, each a bitmask: every
+    pair of points lies on exactly one line, and not all points lie on
+    one.  The line through the first pair no line holds yet is chosen
+    among all sets of points whose pairs no line holds, so each space is
+    listed once.  There are 1, 5, 31, 352 and 8,389 for k = 3..7."""
+    out = []
+
+    def extend(open_pairs, lines):
+        if not open_pairs:
+            out.append(tuple(sorted(lines)))
+            return
+        pair = min(open_pairs)
+        i, j = bits(pair)
+        cands = [x for x in range(k) if (1 << i | 1 << x) in open_pairs
+                 and (1 << j | 1 << x) in open_pairs]
+        for r in range(len(cands) + 1):
+            for extra in itertools.combinations(cands, r):
+                line = pair | sum(1 << x for x in extra)
+                pairs = set(ksubsets(line, 2))
+                if pairs <= open_pairs:
+                    extend(open_pairs - pairs, lines + [line] * bool(extra))
+
+    extend(frozenset(ksubsets((1 << k) - 1, 2)), [])
+    return tuple(sp for sp in out if sp != ((1 << k) - 1,))
+
+
+def set_partitions(elems):
+    """Every set partition of the list elems, as a list of bitmask
+    blocks."""
+    if not elems:
+        yield []
+        return
+    first = 1 << elems[0]
+    for part in set_partitions(elems[1:]):
+        yield [first] + part
+        for i in range(len(part)):
+            yield part[:i] + [part[i] | first] + part[i + 1:]
+
+
+@functools.lru_cache(maxsize=None)
+def rank3_systems(n, loops):
+    """Every rank-3 matroid on ground(n) whose loops are exactly the mask
+    loops, as (classes, lines, dependent): a set partition of the other
+    elements into three or more classes, a linear space of rank 3 on the
+    classes with its long lines as unions of classes, and the bitmask,
+    over the 3-subsets of the ground in ksubsets order, of the dependent
+    ones (meeting a loop, meeting a class twice, or inside a line).  No
+    engine is involved; the definitional twin of the rank-3 searches."""
+    full = (1 << n) - 1
+    index = {t: k for k, t in enumerate(ksubsets(full, 3))}
+
+    @functools.lru_cache(maxsize=None)
+    def dependent(mask, meets):
+        # the triples with at least `meets` elements in mask
+        return sum(1 << k for t, k in index.items()
+                   if (t & mask).bit_count() >= meets)
+
+    out = []
+    for part in set_partitions(list(bits(full & ~loops))):
+        if len(part) < 3:
+            continue
+        classes = tuple(sorted(part))
+        base = dependent(loops, 1)
+        for c in classes:
+            base |= dependent(c, 2)
+        for space in linear_spaces(len(classes)):
+            lines = tuple(sorted(sum(classes[x] for x in bits(pl))
+                                 for pl in space))
+            dep = base
+            for l in lines:
+                dep |= dependent(l, 3)
+            out.append((classes, lines, dep))
+    return tuple(out)
+
+
+def dependent_bits(m):
+    """The bitmask, over the 3-subsets of the ground of a rank-3 m in
+    ksubsets order, of those that are no base: rank3_systems' form."""
+    return sum(1 << k for k, t in enumerate(ksubsets(m.ground.full_mask, 3))
+               if t not in m.bases)
+
+
+def systems_below(m, loops):
+    """The rank3_systems entries with the given loops whose bases all
+    are bases of m."""
+    dep_m = dependent_bits(m)
+    return [s for s in rank3_systems(m.ground.n, loops)
+            if s[2] & dep_m == dep_m]
+
+
+def scan_per_triple(support, mandatory, classes, lines):
+    """The uncovered mandatory triples of an _Engine state by testing
+    every 3-subset of the support on its own; the twin of
+    _Engine._scan."""
     cls_of = {i: c for c in classes for i in bits(c)}
-    uncovered = []
-    for t in ksubsets(support, 3):
-        if triple_dependent(t, cls_of, lines):
-            if dep_max is not None and t not in dep_max:
-                return False, ()
-        elif t in mandatory:
-            uncovered.append(t)
-    return True, uncovered
+    return [t for t in ksubsets(support, 3)
+            if t in mandatory and not triple_dependent(t, cls_of, lines)]
 
 
 def normalize_cascade(engine, classes, lines):
@@ -231,11 +320,10 @@ def normalize_by_masks(engine, classes, lines):
 
 def run_by_fewest_picks(engine, seed_classes):
     """The states an _Engine yields from the seed classes, by the rule
-    it had before it took the first uncovered triple under no bound:
-    each uncovered triple's moves are built and the first with the
-    fewest kept, bound or not, and with full a state is tested for
-    connectivity when it is popped, not before it is pushed.  The twin
-    of _Engine.run."""
+    it had before it took the first uncovered triple: each uncovered
+    triple's moves are built and the first with the fewest kept, and a
+    state is tested for connectivity when it is popped, not before it is
+    pushed.  The twin of _Engine.run."""
     start = (tuple(sorted(seed_classes)), ())
     if len(start[0]) < 3 or not engine._guards_ok(*start):
         return
@@ -243,20 +331,16 @@ def run_by_fewest_picks(engine, seed_classes):
     stack = [start]
     while stack:
         classes, lines = stack.pop()
-        if engine.full is not None and not rank3._connected(
-                engine.full, engine.support, classes, lines):
+        if not rank3._connected(engine.support, engine.support, classes,
+                                lines):
             continue
         uncovered = engine._scan(classes, lines)
-        if uncovered is None:
-            continue
         if uncovered:
             picks = None
             for t in engine.tri.masks_of(uncovered):
                 moves = engine._picks(lines, [c for c in classes if c & t])
                 if picks is None or len(moves) < len(picks):
                     picks = moves
-                    if not picks:
-                        break
         else:
             yield classes, lines
             picks = engine._picks(lines, classes)
@@ -302,7 +386,7 @@ def included_by_first_round(m, constraints):
             comps, _ = rank3.facet_graph_components(m, full & ~a, a)
             groups.extend(comps)
     seed = [c for c in merge_overlapping(groups) if c]
-    engine = rank3._Engine(full, mandatory, None, cert1, cert2, full)
+    engine = rank3._Engine(full, mandatory, cert1, cert2)
     for classes, lines in engine.run(seed):
         profile = rank3.Rank3Profile(m.ground, classes, lines)
         if profile != own and rank3._finalize_ok(profile, constraints):
@@ -323,27 +407,12 @@ def children(classes, lines, picks):
     return out
 
 
-def moves_pairwise(support, dep_max, classes, lines, t=None):
-    """Children of a live _Engine state by the pairwise rules: merging
-    classes c1 and c2 is allowed when every triple through an element of
-    each lies in dep_max, and a line when all its 3-subsets do.  With a
-    triple t, the moves of the three classes it meets, as the cover phase
-    made them; without, every grow move.  The twin of the children of
-    _Engine._picks."""
-    pair_ok = None
-    if dep_max is not None:
-        pair_ok = {pair: all((pair | 1 << i) in dep_max
-                             for i in bits(support & ~pair))
-                   for pair in ksubsets(support, 2)}
-
-    def merge_allowed(c1, c2):
-        return pair_ok is None or all(pair_ok[(1 << i) | (1 << j)]
-                                      for i in bits(c1) for j in bits(c2))
-
-    def line_content_ok(lmask):
-        return dep_max is None or all(s in dep_max
-                                      for s in ksubsets(lmask, 3))
-
+def moves_pairwise(classes, lines, t=None):
+    """Children of an _Engine state by the pairwise rules: every merge of
+    two classes, and every line through three classes that no line
+    holds.  With a triple t, the moves of the three classes it meets, as
+    the cover phase made them; without, every grow move.  The twin of
+    the children of _Engine._picks."""
     out = []
     if t is not None:
         cls_of = {i: c for c in classes for i in bits(c)}
@@ -351,25 +420,21 @@ def moves_pairwise(support, dep_max, classes, lines, t=None):
         cs = sorted({cls_of[i], cls_of[j], cls_of[k]})
         for a in range(len(cs)):
             for b in range(a + 1, len(cs)):
-                if merge_allowed(cs[a], cs[b]):
-                    nc = [c for c in classes if c not in (cs[a], cs[b])]
-                    nc.append(cs[a] | cs[b])
-                    out.append((nc, list(lines)))
-        if len(cs) == 3 and line_content_ok(cs[0] | cs[1] | cs[2]):
+                nc = [c for c in classes if c not in (cs[a], cs[b])]
+                nc.append(cs[a] | cs[b])
+                out.append((nc, list(lines)))
+        if len(cs) == 3:
             out.append((list(classes), list(lines) + [cs[0] | cs[1] | cs[2]]))
         return out
     for a in range(len(classes)):
         for b in range(a + 1, len(classes)):
-            if merge_allowed(classes[a], classes[b]):
-                nc = [c for x, c in enumerate(classes) if x not in (a, b)]
-                nc.append(classes[a] | classes[b])
-                out.append((nc, list(lines)))
+            nc = [c for x, c in enumerate(classes) if x not in (a, b)]
+            nc.append(classes[a] | classes[b])
+            out.append((nc, list(lines)))
     for cm in ksubsets((1 << len(classes)) - 1, 3):
         pick = [classes[x] for x in bits(cm)]
         lmask = pick[0] | pick[1] | pick[2]
-        if any(lmask & ~l == 0 for l in lines):
-            continue
-        if line_content_ok(lmask):
+        if not any(lmask & ~l == 0 for l in lines):
             out.append((list(classes), list(lines) + [lmask]))
     return out
 
@@ -774,11 +839,9 @@ def count_beams(monkeypatch):
 
 def count_engine_steps(monkeypatch):
     """Count what the rank-3 engine does from now on, as a Counter:
-    - popped: states popped (each goes to _scan first), and live: those
-      _scan finds alive;
+    - popped: states popped (each goes to _scan first);
     - picks: _picks calls;
-    - disconnected_popped: popped states whose matroid is disconnected
-      while the engine prunes (full set);
+    - disconnected_popped: popped states whose matroid is disconnected;
     - tested: connectivity tests made while a run advances, late_tests:
       those not made on the start state or on the state the last _child
       call returned, that is, not made before the state was pushed."""
@@ -803,12 +866,9 @@ def count_engine_steps(monkeypatch):
 
     def counted_scan(self, classes, lines):
         counts["popped"] += 1
-        if self.full is not None and not connected(
-                self.full, self.support, classes, lines):
+        if not connected(self.support, self.support, classes, lines):
             counts["disconnected_popped"] += 1
-        out = scan(self, classes, lines)
-        counts["live"] += out is not None
-        return out
+        return scan(self, classes, lines)
 
     def counted_picks(self, *args):
         counts["picks"] += 1
