@@ -286,11 +286,11 @@ class Decomposition:
 class DecompositionReport:
     """First-failure report over the four decomposition conditions:
     (a) the piece families cover the whole family exactly, (b) every
-    piece keeps the component partition, (c) piece pairs intersect in a
+    piece is connected, as the whole is, (c) piece pairs intersect in a
     proper face of both and admit a separating hyperplane, (d) every
     piece facet is original or shared, reversed, with exactly one
     partner.  For (c) the common bases are a face of a piece when they
-    equal the least face holding them, cut out by the rank inequalities
+    equal the least face holding them, cut out by the piece's facets
     tight on all of them; an empty intersection counts as a face."""
 
     ok: bool
@@ -303,31 +303,30 @@ class DecompositionReport:
         return self.ok
 
 
-def _is_proper_face(piece, fam):
-    """Whether fam is a proper face of the piece's base polytope; the
-    empty family counts as one.
+def _facet_face(bases, amask, a):
+    """The bases meeting A in a elements: the face (A,a)<= cuts."""
+    return frozenset(b for b in bases if (b & amask).bit_count() == a)
 
-    The least face holding fam is cut out by the inequalities
-    x(A) <= r(A) tight on all of fam (Edmonds 1970): A is tight when
-    every member meets A in the same k elements and no base of the piece
-    meets A in more.  Intersecting the bases with {B : |B & A| = k} over
-    the tight A gives that face, and fam is a face exactly when it is
-    the result.
+
+def _is_proper_face(piece, fam):
+    """Whether fam is a proper face of a connected piece's base polytope.
+    The empty family counts as one, and is decided first: a piece with a
+    single base has no facet to cut it out.
+
+    Every proper face of a polytope is the intersection of the facets
+    holding it (Ziegler, Lectures on Polytopes, Thm 2.7), and the facet
+    table of a connected piece lists them all (Feichtner and Sturmfels
+    2005).  So the facet faces tight on all of fam cut out the least
+    face holding it, and fam is a proper face when it is that face and
+    not every base.
     """
-    face = frozenset(piece.bases)
     if not fam:
         return True
-    if fam == face:
-        return False
-    first = next(iter(fam))
-    for amask in range(1, piece.ground.full_mask):
-        k = (first & amask).bit_count()
-        if (all((b & amask).bit_count() == k for b in fam)
-                and all((b & amask).bit_count() <= k for b in piece.bases)):
-            face = frozenset(b for b in face if (b & amask).bit_count() == k)
-            if face == fam:
-                return True
-    return False
+    face = bases = frozenset(piece.bases)
+    for amask, a in _facet_table(piece):
+        if all((b & amask).bit_count() == a for b in fam):
+            face = _facet_face(face, amask, a)
+    return face == fam and fam != bases
 
 
 def _separating_hyperplane(ground, ileft, iright):
@@ -347,11 +346,6 @@ def _facet_partners(m, pieces):
     must be connected and of the rank of m."""
     full = m.ground.full_mask
     tables = [_facet_table(p) for p in pieces]
-
-    def face(j, amask, a):
-        return frozenset(b for b in pieces[j].bases
-                         if (b & amask).bit_count() == a)
-
     out = []
     for i, table in enumerate(tables):
         facets = []
@@ -359,10 +353,11 @@ def _facet_partners(m, pieces):
             if is_facet_inequality(m, amask, a):
                 continue
             reverse = (full & ~amask, m.rank - a)
-            tight = face(i, amask, a)
+            tight = _facet_face(pieces[i].bases, amask, a)
             facets.append((amask, a, tuple(
                 j for j, other in enumerate(tables)
-                if j != i and reverse in other and face(j, amask, a) == tight)))
+                if j != i and reverse in other
+                and _facet_face(pieces[j].bases, amask, a) == tight)))
         out.append(tuple(facets))
     return out
 
@@ -387,9 +382,10 @@ def verify_decomposition(m, pieces):
             False, "(a)", "piece union has %d of %d bases%s" % (
                 len(union & whole), len(whole),
                 "" if union <= whole else " plus %d foreign" % len(union - whole)))
-    mcomps = sorted(m.connected_components())
+    # the whole is connected, so a piece keeps its component partition
+    # when connected; (c) and (d) read facet tables, which need that
     for k, p in enumerate(pieces):
-        if sorted(p.connected_components()) != mcomps:
+        if not p.is_connected():
             return DecompositionReport(
                 False, "(b)", "piece %d changes the component partition" % k)
     seps = []

@@ -295,11 +295,9 @@ class Matroid:
 
     def parallel_classes(self):
         """Rank-1 closures of the non-loop elements, each class once."""
-        seen = set()
-        for i in bits(self.ground.full_mask & ~self.loops()):
-            cl = self.closure_of(1 << i) & ~self.loops()
-            seen.add(cl)
-        return tuple(sorted(seen))
+        loops = self.loops()
+        return tuple(sorted({self.closure_of(1 << i) & ~loops
+                             for i in bits(self.ground.full_mask & ~loops)}))
 
     # ------------------------------------------------------------ components
 

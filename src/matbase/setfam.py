@@ -76,10 +76,15 @@ class GroundSet:
     def mask(self, elems):
         """Bitmask of an iterable of labels.  A plain string is read per character
         unless the whole string is itself a label; ints pass through checked,
-        and anything with a mask attribute contributes its mask."""
+        bools are refused, and anything with an int mask attribute
+        contributes its mask unless its ground attribute is another ground."""
         if isinstance(elems, int):
+            if isinstance(elems, bool):
+                raise GroundMismatchError("a bool names no subset of a ground")
             return self.check_mask(elems)
-        if hasattr(elems, "mask") and isinstance(elems.mask, int):
+        if isinstance(getattr(elems, "mask", None), int):
+            if getattr(elems, "ground", self) != self:
+                raise GroundMismatchError("set lives on another ground set")
             return self.check_mask(elems.mask)
         if isinstance(elems, str) and elems in self._index:
             return 1 << self._index[elems]

@@ -29,7 +29,7 @@ from matbase.census import (_beam, _candidate_lines, _invariant, _matches,
 from matbase.decomp import _is_proper_face, classify, two_decompose
 from matbase.errors import (ConstraintError, EmptyFamilyError,
                             ExchangeAxiomError, GroundMismatchError,
-                            MatbaseError)
+                            MatbaseError, NotConnectedError)
 from matbase.examples import example_ids, get_example
 from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
@@ -49,8 +49,8 @@ from util import (automorphisms, children, closure_by_rank, count_beams,
                   included_by_first_round, is_proper_face_by_levels,
                   line_extensions, line_families_by_keys,
                   line_key_by_permutations,
-                  merge_by_union_find, moves_pairwise, normalize_by_masks,
-                  normalize_cascade, pool_rank3, pool_small,
+                  merge_by_union_find, moves_pairwise, normalize_cascade,
+                  pool_rank3, pool_small,
                   rank3_profile_by_flats, rank_brute, relabel_mask,
                   run_by_fewest_picks, scan_per_triple, split_families,
                   systems_below, two_decompose_by_halves)
@@ -205,52 +205,6 @@ def random_certs(elems, rng):
         cert2 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
             2, len(elems)))) for _ in range(rng.randint(0, 2)))
     return cert1, cert2
-
-
-def normalize_inputs(case, rng):
-    """Unnormalized states on the support of a drawn case, each with an
-    engine to normalize it: the drawn state, the drawn classes with up
-    to three raw lines (any masks of at least two elements, not unions
-    of classes), and the child of every pick of either one, over all
-    classes and over the classes each mandatory triple meets.  Half the
-    time the engine also guards random certified flats of rank 1 and
-    2."""
-    engine, mandatory, classes, lines = case
-    support = engine.support
-    elems = list(bits(support))
-    engine = _Engine(support, mandatory, *random_certs(elems, rng))
-    raw = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
-        2, len(elems)))) for _ in range(rng.randint(1, 3)))
-    for state in ((classes, lines), (classes, raw)):
-        yield engine, state
-        groups = [list(classes)] + [[c for c in classes if c & t]
-                                    for t in sorted(mandatory)]
-        for group in groups:
-            for kid in children(*state, engine._picks(state[1], group)):
-                yield engine, kid
-
-
-@given(engine_states(), st.randoms(use_true_random=True))
-def test_normalize_matches_cascade(case, rng):
-    for engine, (classes, lines) in normalize_inputs(case, rng):
-        assert (normalize_by_masks(engine, classes, lines)
-                == normalize_cascade(engine, classes, lines))
-
-
-def test_normalize_matches_cascade_dead_and_kept():
-    # the same comparison over fixed seeds, which must meet both dead
-    # (None) and kept states, and lines that are not unions of classes
-    dead = kept = ragged = 0
-    for seed in range(150):
-        rng = random.Random(seed)
-        case = random_engine_state(rng)
-        for engine, (classes, lines) in normalize_inputs(case, rng):
-            got = normalize_by_masks(engine, classes, lines)
-            assert got == normalize_cascade(engine, classes, lines)
-            dead += got is None
-            kept += got is not None
-            ragged += any(c & l and c & ~l for c in classes for l in lines)
-    assert dead and kept and ragged
 
 
 def child_inputs(case, rng):
@@ -595,11 +549,15 @@ def test_half_scan_matches_full_scan():
     assert 0 < splits < len(inputs)
 
 
+CONNECTED_6 = [m for m in pool_small(6) if m.is_connected()]
+
+
 @st.composite
 def piece_families(draw):
-    """A matroid of pool_small(6) with a family of its bases: the face
-    where a random chain of sets is tight, or a random subfamily of it."""
-    m = draw(st.sampled_from(pool_small(6)))
+    """A connected matroid of pool_small(6) with a family of its bases:
+    the face where a random chain of sets is tight, or a random
+    subfamily of it."""
+    m = draw(st.sampled_from(CONNECTED_6))
     n = m.ground.n
     order = draw(st.permutations(range(n)))
     fam = frozenset(m.bases)
@@ -623,8 +581,9 @@ def test_face_test_matches_exchange_edges():
     # the edges of a base polytope are the base pairs one exchange apart
     # (Gelfand, Goresky, MacPherson and Serganova 1987)
     pairs = edges = 0
-    for m in pool_small(6):
+    for m in CONNECTED_6:
         bases = m.bases.masks
+        assert _is_proper_face(m, frozenset())
         for b in bases:
             assert _is_proper_face(m, frozenset([b])) == (len(bases) > 1)
         for b1, b2 in itertools.combinations(bases, 2):
@@ -632,7 +591,23 @@ def test_face_test_matches_exchange_edges():
             assert _is_proper_face(m, frozenset([b1, b2])) == edge
             pairs += 1
             edges += edge
-    assert (pairs, edges) == (4170, 2202)
+    assert (pairs, edges) == (4158, 2194)
+
+
+def test_face_test_needs_a_connected_piece():
+    # the face test reads the facet table, which only a connected piece
+    # has; a connected piece with one base has no facets, and its faces
+    # are the empty family alone
+    disconnected = [m for m in pool_small(6) if not m.is_connected()]
+    assert len(disconnected) == 4
+    for m in disconnected:
+        with pytest.raises(NotConnectedError):
+            _is_proper_face(m, frozenset(m.bases.masks[:1]))
+    for r in (0, 1):
+        m = uniform_matroid(r, 1, "a")
+        assert m.is_connected() and facets._facet_table(m) == {}
+        assert _is_proper_face(m, frozenset())
+        assert not _is_proper_face(m, frozenset(m.bases))
 
 
 @given(st.lists(st.integers(0, 255)))

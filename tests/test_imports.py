@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or of the test suite imports
-a name it never uses."""
+a name it never uses, and no private function of the package is left
+that the package never reads."""
 
 import ast
 import pathlib
@@ -42,3 +43,40 @@ def test_no_unused_imports():
         if names:
             found[str(path.relative_to(TESTS.parent))] = names
     assert found == {}
+
+
+def unread_private_defs(sources):
+    """The private functions and methods (a leading underscore, not a
+    dunder) defined in the named sources that no source reads, as a
+    name or an attribute, outside the definition's own body; sorted
+    (source name, function name) pairs."""
+    defs = []
+    reads = []
+    for key, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((key, node))
+            elif isinstance(node, ast.Name):
+                reads.append((key, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.append((key, node.attr, node.lineno))
+    return sorted((key, node.name) for key, node in defs
+                  if not any(name == node.name and not (
+                      where == key
+                      and node.lineno <= line <= node.end_lineno)
+                      for where, name, line in reads))
+
+
+def test_no_unread_private_defs():
+    # a definitional path may stay only as a twin in the tests, so a
+    # private helper the package no longer calls is dead code
+    sample = ("def _kept():\n    pass\n"
+              "def _dead():\n    return _dead()\n"
+              "class C:\n    def _method(self):\n        pass\n"
+              "    def __init__(self):\n        self._method()\n"
+              "_kept()\n")
+    assert unread_private_defs({"s": sample}) == [("s", "_dead")]
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_defs(sources) == []

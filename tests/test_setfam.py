@@ -6,8 +6,12 @@ import random
 import pytest
 
 from matbase.errors import ConstraintError, FormatError, GroundMismatchError
-from matbase.setfam import (GroundSet, LinearConstraint, SetFamily, bits,
-                            family_from_constraints, ksubsets, submasks)
+from matbase.facets import is_facet_defining_base
+from matbase.matroid import uniform_matroid
+from matbase.rank3 import InclusionConstraints
+from matbase.setfam import (ElementSet, GroundSet, LinearConstraint,
+                            SetFamily, bits, family_from_constraints,
+                            ksubsets, submasks)
 
 from util import ground
 
@@ -31,6 +35,27 @@ def test_ground_set_errors():
     g = GroundSet("abc")
     with pytest.raises(GroundMismatchError):
         g.mask("axe")
+    # a bool is an int to Python, but it names no subset
+    for flag in (True, False):
+        with pytest.raises(GroundMismatchError):
+            g.mask(flag)
+
+
+def test_set_over_another_ground_rejected():
+    # the mask of vwxy over vwxyz fits abcde too, as abcd, a facet of
+    # U(3,5), but it names no subset of abcde
+    m = uniform_matroid(3, 5, "abcde")
+    g = m.ground
+    other = ElementSet.of(GroundSet("vwxyz"), "vwxy")
+    assert other.mask == g.mask("abcd")
+    for read in (lambda: is_facet_defining_base(m, other),
+                 lambda: ElementSet.of(g, other),
+                 lambda: InclusionConstraints.of(g, forced_rank1=[other])):
+        with pytest.raises(GroundMismatchError):
+            read()
+    same = ElementSet.of(g, "abcd")
+    assert ElementSet.of(g, same) == same
+    assert is_facet_defining_base(m, same).facet_of_base
 
 
 def test_multichar_labels():

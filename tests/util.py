@@ -238,8 +238,7 @@ def normalize_cascade(engine, classes, lines):
     """An _Engine state normalized by the cascade, or None when dead:
     lines absorb every class they meet, lines meeting <= 2 classes are
     dropped, and two lines sharing >= 2 whole classes are merged, over
-    and over until nothing changes.  The twin of normalize_by_masks and
-    of _Engine._child."""
+    and over until nothing changes.  The twin of _Engine._child."""
     classes = list(classes)
     lines = list(lines)
     while True:
@@ -273,49 +272,6 @@ def normalize_cascade(engine, classes, lines):
     if not engine._guards_ok(classes, lines):
         return None
     return tuple(sorted(classes)), tuple(sorted(lines))
-
-
-def normalize_by_masks(engine, classes, lines):
-    """An _Engine state normalized from scratch, or None when dead; it
-    takes any lines, not only unions of classes, and checks
-    normalize_cascade on them.
-
-    Classes never change here, and a line absorbs exactly the classes
-    it meets, so each line is read as the bitmask of the indices of
-    those classes, kept beside their union.  Masks of fewer than 3
-    classes are dropped, then two masks sharing >= 2 classes are
-    merged until no pair does.  A mask of every class is a rank-2
-    state, which is dead.
-    """
-    if len(classes) < 3:
-        return None
-    every = (1 << len(classes)) - 1
-    masks = []
-    unions = []
-    for l in lines:
-        m = 0
-        whole = 0
-        for k, c in enumerate(classes):
-            if c & l:
-                m |= 1 << k
-                whole |= c
-        if m.bit_count() < 3:
-            continue
-        k = 0
-        while k < len(masks):
-            if (m & masks[k]).bit_count() >= 2:
-                m |= masks.pop(k)
-                whole |= unions.pop(k)
-                k = 0
-            else:
-                k += 1
-        if m == every:
-            return None
-        masks.append(m)
-        unions.append(whole)
-    if not engine._guards_ok(classes, unions):
-        return None
-    return tuple(sorted(classes)), tuple(sorted(unions))
 
 
 def run_by_fewest_picks(engine, seed_classes):
