@@ -567,10 +567,11 @@ def classify(m, max_pieces=16):
     Binary and 2-split tests are rank-independent; separating the
     remaining kinds needs the rank-3 inclusion search, so other ranks
     raise InconclusiveError past those two tests.  Kinds b and c rest on
-    that search, which can miss systems from eight points on
-    (enumerate_included_rank3).  Non-simple or disconnected input is
-    rejected: simplify, or classify per component.  A max_pieces that
-    is not an int (bool included) or is below 2 is a ConstraintError.
+    that search, which can miss systems from eight points on, 3 of the
+    105 below lucascon M1 among them (enumerate_included_rank3).
+    Non-simple or disconnected input is rejected: simplify, or classify
+    per component.  A max_pieces that is not an int (bool included) or
+    is below 2 is a ConstraintError.
     """
     _check_max_pieces(max_pieces)
     if not m.is_connected():

@@ -45,7 +45,7 @@ def enumerate_included_rank3(m, constraints=None):
     """The properly included connected matroids the search finds,
     canonically ordered by profile (sorted classes, then sorted lines).
     It finds all on at most seven points, but misses some from eight
-    points on (_Engine)."""
+    points on (_Engine): 3 of the 105 below lucascon M1."""
     found = sorted(_included_profiles(m, constraints), key=Rank3Profile.key)
     return [profile.matroid() for profile in found]
 
@@ -64,7 +64,8 @@ def is_weak_minimal_rank3(m):
     sits properly inside B(m).
 
     Binary matroids short-circuit to True.  The answer is exact on at
-    most seven points (enumerate_included_rank3).
+    most seven points; from eight points on the search misses some
+    systems, as below lucascon M1 (enumerate_included_rank3).
     """
     return _first_included(m) is None
 

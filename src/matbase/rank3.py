@@ -106,63 +106,33 @@ class Rank3Profile:
         return _connected(self.ground.full_mask, self.support(),
                           self.classes, self.long_lines)
 
-    def is_flat_of_rank(self, a, k):
-        """Whether the mask a is a flat of rank k, for k = 1 or 2.
-
-        Every flat holds the loops.  Beyond them a rank-1 flat is a
-        class, and a rank-2 flat is a long line or the union of two
-        classes that no long line holds together.
-        """
-        support = self.support()
-        loops = self.ground.full_mask & ~support
-        if a & loops != loops:
-            return False
-        a &= support
-        if k == 1:
-            return a in self.classes
-        if a in self.long_lines:
-            return True
-        inside = [c for c in self.classes if c & ~a == 0]
-        return (len(inside) == 2 and inside[0] | inside[1] == a
-                and not any(a & ~l == 0 for l in self.long_lines))
-
-    def is_facet_flat(self, a, k):
-        """Whether (a, k)<= is facet-defining for the base system of the
-        connected matroid M of this profile, for k = 1 or 2: a is a flat
-        of rank k and both M|a and M/a are connected (facets.py).
-
-        For a rank-2 flat, M/a has rank 1 and no loops, and M|a is
-        connected when a spans >= 3 classes: a is a long line.  For a
-        class a, M|a is connected, and M/a has rank 2 with one parallel
-        class for each rank-2 flat through a, so it is connected when at
-        least three of them pass through a.
-        """
-        if not self.is_flat_of_rank(a, k):
-            return False
-        if not self.is_connected():
-            raise NotConnectedError("facet analysis needs a connected matroid")
-        if k == 2:
-            return a in self.long_lines
-        through = [l for l in self.long_lines if l & a]
-        alone = [c for c in self.classes
-                 if c != a and not any(c & l for l in through)]
-        return len(through) + len(alone) >= 3
-
     def facet_keys(self):
         """The facets of the base system of the connected matroid M of
-        this profile, as (A, r(A)) pairs in mask order.
+        this profile, as (A, r(A)) pairs in mask order; the one rank-3
+        facet rule, which the facet tables and the require_facet entries
+        of search_profiles read.
 
         (A, r(A))<= is a facet exactly when M|A and M/A are connected
-        (Feichtner and Sturmfels 2005), which for a flat of rank 1 or 2 is
-        is_facet_flat.  A set of rank 3 other than E cuts a facet only as
-        E - e, the bases avoiding e, and does so when M\\e is connected: its
-        classes and long lines are those of M without e, the lines kept
-        while they span three classes.
+        (Feichtner and Sturmfels 2005).  For a rank-2 flat, M/A has rank 1
+        and no loops, and M|A is connected when A spans >= 3 classes: A is
+        a long line.  For a class A, M|A is connected, and M/A has rank 2
+        with one parallel class for each rank-2 flat through A, a long line
+        or A with one class no such line holds, so it is connected when at
+        least three of them pass through A.  A set of rank 3 other than E
+        cuts a facet only as E - e, the bases avoiding e, and does so when
+        M\\e is connected: its classes and long lines are those of M
+        without e, the lines kept while they span three classes.
         """
         if not self.is_connected():
             raise NotConnectedError("facet analysis needs a connected matroid")
         full = self.ground.full_mask
-        keys = [(c, 1) for c in self.classes if self.is_facet_flat(c, 1)]
+        keys = []
+        for a in self.classes:
+            through = [l for l in self.long_lines if l & a]
+            alone = [c for c in self.classes
+                     if c != a and not any(c & l for l in through)]
+            if len(through) + len(alone) >= 3:
+                keys.append((a, 1))
         keys += [(l, 2) for l in self.long_lines]
         for i in bits(full):
             rest = full & ~(1 << i)
@@ -268,21 +238,20 @@ def rank3_profile(m):
     return m._profile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class InclusionConstraints:
-    """Side conditions on the included matroid searched for.
+    """Side conditions on the included matroid searched for, built by
+    keyword.
 
     forced_rank1 sets must have rank 1; forced_rank2 sets rank at most 2;
     both are masks over the ground searched, non-negative ints, and
     check_ground rejects one with an element outside that ground;
-    forbidden constraints must be violated by some base; require_facet
-    inequalities (A,1)<= or (A,2)<= must be facet-defining for the result
-    and not facet-defining for the original.
+    require_facet inequalities (A,1)<= or (A,2)<= must be facets of the
+    result (Rank3Profile.facet_keys) and not facets of the original.
     """
 
     forced_rank1: tuple = ()
     forced_rank2: tuple = ()
-    forbidden: tuple = ()
     require_facet: tuple = ()
 
     def __post_init__(self):
@@ -292,13 +261,11 @@ class InclusionConstraints:
                     raise ConstraintError(
                         "%s takes masks, non-negative ints, got %r"
                         % (name, a))
-        for name in ("forbidden", "require_facet"):
-            for c in getattr(self, name):
-                if not isinstance(c, LinearConstraint):
-                    raise ConstraintError(
-                        "%s takes LinearConstraint entries, got %r"
-                        % (name, c))
         for c in self.require_facet:
+            if not isinstance(c, LinearConstraint):
+                raise ConstraintError(
+                    "require_facet takes LinearConstraint entries, got %r"
+                    % (c,))
             if c.dir != "<=" or c.bound not in (1, 2):
                 raise ConstraintError(
                     "require_facet takes (A,1)<= or (A,2)<= entries, got %s" % c)
@@ -310,26 +277,25 @@ class InclusionConstraints:
     def check_ground(self, ground):
         """Reject constraints that do not fit the ground searched: a
         rank-1 set that is the whole ground or a forced set with an
-        element outside it (ConstraintError), and a forbidden or
-        require_facet entry over another ground (GroundMismatchError)."""
+        element outside it (ConstraintError), and a require_facet entry
+        over another ground (GroundMismatchError)."""
         if ground.full_mask in self.forced_rank1:
             raise ConstraintError("cannot force the full ground to rank 1")
         for a in self.forced_rank1 + self.forced_rank2:
             if a & ~ground.full_mask:
                 raise ConstraintError("forced set %#x has elements outside "
                                       "the ground of %d" % (a, ground.n))
-        for c in self.forbidden + self.require_facet:
+        for c in self.require_facet:
             if c.ground != ground:
                 raise GroundMismatchError(
                     "constraint %s is on a different ground set" % c)
 
     @classmethod
-    def of(cls, ground, forced_rank1=(), forced_rank2=(), forbidden=(),
-           require_facet=()):
-        out = cls(tuple(ground.mask(a) for a in forced_rank1),
-                  tuple(ground.mask(a) for a in forced_rank2),
-                  tuple(_coerce_constraints(ground, forbidden)),
-                  tuple(_coerce_constraints(ground, require_facet)))
+    def of(cls, ground, forced_rank1=(), forced_rank2=(), require_facet=()):
+        out = cls(forced_rank1=tuple(ground.mask(a) for a in forced_rank1),
+                  forced_rank2=tuple(ground.mask(a) for a in forced_rank2),
+                  require_facet=tuple(_coerce_constraints(ground,
+                                                          require_facet)))
         out.check_ground(ground)
         return out
 
@@ -409,8 +375,9 @@ def propagate(m, c):
                     ones.add(comp)
         if (frozenset(ones), frozenset(twos), frozenset(flat2)) == before:
             break
-    return InclusionConstraints(tuple(sorted(ones)), tuple(sorted(twos)),
-                                c.forbidden, c.require_facet)
+    return InclusionConstraints(forced_rank1=tuple(sorted(ones)),
+                                forced_rank2=tuple(sorted(twos)),
+                                require_facet=c.require_facet)
 
 
 class _Engine:
@@ -432,7 +399,8 @@ class _Engine:
     classes, and drops a state whose lines hold every class; both are
     forced only while those classes stay apart, and a later merge can
     make them parallel.  A system reached only by such a merge is
-    missed, as some are below census_rank3(8) classes 50, 51, 57, 59.
+    missed, as some are below census_rank3(8) classes 50, 51, 57, 59,
+    and 3 of the 105 connected systems below lucascon M1.
 
     A new state whose matroid is disconnected (_connected) is put in
     seen but never pushed, so nothing below it is searched; the start
@@ -567,10 +535,10 @@ def search_profiles(m, constraints=None):
     triples of its rank-2 sets become dependent, and the require_facet
     entries are certified flats that every state keeps; a
     ContradictionError there means nothing is yielded.  A require_facet
-    inequality must be facet-defining for the result and not for m; if
-    it is one for m, or has bound 2 on fewer than 3 elements, nothing is
-    yielded and the engine does not run.  A matroid is built only for a
-    profile that a forbidden entry has to inspect.
+    inequality (A, k)<= must be facet-defining for the result, (A, k)
+    one of its facet_keys, and not for m; if it is one for m, or has
+    bound 2 on fewer than 3 elements, nothing is yielded and the engine
+    does not run.  No matroid is built.
     """
     ground = m.ground
     full = ground.full_mask
@@ -591,28 +559,12 @@ def search_profiles(m, constraints=None):
         mandatory.update(ksubsets(a, 3))
     cert1 = [c.support for c in constraints.require_facet if c.bound == 1]
     cert2 = [c.support for c in constraints.require_facet if c.bound == 2]
+    required = {(c.support, c.bound) for c in constraints.require_facet}
     engine = _Engine(full, mandatory, cert1, cert2)
     # an empty forced set joins nothing and is no class
     seed = [c for c in merge_overlapping(
         [1 << i for i in bits(full)] + list(closure.forced_rank1)) if c]
     for classes, lines in engine.run(seed):
         profile = Rank3Profile(ground, classes, lines)
-        if _finalize_ok(profile, constraints):
+        if not required or required.issubset(profile.facet_keys()):
             yield profile
-
-
-def _finalize_ok(profile, constraints):
-    """Whether a profile meets the forbidden and require_facet entries.
-
-    The profile decides each require_facet entry (is_facet_flat); a
-    matroid is built only for the forbidden base scan, and only for a
-    profile that passes them all.
-    """
-    if not all(profile.is_facet_flat(c.support, c.bound)
-               for c in constraints.require_facet):
-        return False
-    if not constraints.forbidden:
-        return True
-    bases = profile.matroid().bases
-    return not any(all(c.satisfied(b) for b in bases)
-                   for c in constraints.forbidden)

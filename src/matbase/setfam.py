@@ -77,7 +77,8 @@ class GroundSet:
         """Bitmask of an iterable of labels.  A plain string is read per character
         unless the whole string is itself a label; ints pass through checked,
         bools are refused, and anything with an int mask attribute
-        contributes its mask unless its ground attribute is another ground."""
+        contributes its mask unless its ground attribute is another ground.
+        A non-iterable, or a label repeated within one iterable, is refused."""
         if isinstance(elems, int):
             if isinstance(elems, bool):
                 raise GroundMismatchError("a bool names no subset of a ground")
@@ -88,9 +89,17 @@ class GroundSet:
             return self.check_mask(elems.mask)
         if isinstance(elems, str) and elems in self._index:
             return 1 << self._index[elems]
+        try:
+            labs = iter(elems)
+        except TypeError:
+            raise GroundMismatchError(
+                "%r names no subset of a ground" % (elems,)) from None
         m = 0
-        for lab in elems:
-            m |= 1 << self.index(lab)
+        for lab in labs:
+            bit = 1 << self.index(lab)
+            if m & bit:
+                raise GroundMismatchError("label %r repeated" % (lab,))
+            m |= bit
         return m
 
     def check_mask(self, mask):

@@ -8,7 +8,7 @@ and facet rule and the half hyperplane scan on the census up to eight
 points, the face test of verify_decomposition
 against the ordered-partition recursion and the exchange edges, the
 census key on every family the census enumeration meets up to seven
-points, the profile connectivity and flat rules on every rank-3 system
+points, the profile connectivity and facet keys on every rank-3 system
 below small matroids, the inclusion search against those systems, and
 the constrained inclusion search against the engine seeded with the
 first round of the forcing rules."""
@@ -800,21 +800,18 @@ def test_profile_connectivity_matches_matroid():
     assert 0 < disconnected < seen
 
 
-def test_profile_flat_and_facet_rules_match_matroid():
-    # the flat rule on every mask, and on connected profiles the facet
-    # rule on every flat of rank 1 and 2
+def test_profile_facet_keys_match_matroid():
+    # on connected profiles, every flat f of rank 1 and 2 is among the
+    # facet keys exactly when a fresh facet report says (f, k) is a facet
     facets = 0
     for profile, mat in walked_profiles():
+        if not profile.is_connected():
+            continue
+        keys = set(profile.facet_keys())
         for k in (1, 2):
-            flats = {f for f in mat.flats() if mat.rank_of(f) == k}
-            for a in range(1 << mat.ground.n):
-                assert profile.is_flat_of_rank(a, k) == (a in flats)
-            assert all(mat.is_flat(f) for f in flats)
-            if not profile.is_connected():
-                continue
-            for f in flats:
+            for f in mat.flats_of_rank(k):
                 facet = facet_inequality_by_report(mat, f, k)
-                assert profile.is_facet_flat(f, k) == facet
+                assert ((f, k) in keys) == facet
                 facets += facet
     assert facets
 
@@ -874,8 +871,8 @@ def test_pruned_search_matches_filtered_on_line_families(case):
 def random_inclusion_constraints(g, rng):
     """Seeded mixed constraints on the ground g with at least one forced
     set or required facet: forced rank-1 sets of 1 to 3 elements, forced
-    rank-2 sets of 3 or 4, a forbidden (A,2)<= on a 3-set, and required
-    facets (A,1)<= on 1 to 3 elements or (A,2)<= on 2 to 4."""
+    rank-2 sets of 3 or 4, and required facets (A,1)<= on 1 to 3
+    elements or (A,2)<= on 2 to 4."""
 
     def pick(sizes):
         return sum(1 << i for i in rng.sample(range(g.n), rng.choice(sizes)))
@@ -890,9 +887,8 @@ def random_inclusion_constraints(g, rng):
             rf.append(LinearConstraint(g, pick(sizes), "<=", bound))
         if f1 or f2 or rf:
             break
-    fb = tuple(LinearConstraint(g, pick((3,)), "<=", 2)
-               for _ in range(rng.choice((0, 0, 1))))
-    return InclusionConstraints(f1, f2, fb, tuple(rf))
+    return InclusionConstraints(forced_rank1=f1, forced_rank2=f2,
+                                require_facet=tuple(rf))
 
 
 def test_included_search_matches_first_round_seeding():

@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from matbase.census import census_rank3
+from matbase.decomp import classify
 from matbase.errors import (ConstraintError, GroundMismatchError, LoopError,
                             RankError)
 from matbase.examples import get_example
@@ -16,7 +17,7 @@ from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
                            iter_included_rank3, no_strict_intermediate_rank3,
                            weak_leq)
 from matbase.rank3 import (InclusionConstraints, facet_rank2_flats,
-                           propagate, rank3_profile)
+                           propagate, rank3_profile, search_profiles)
 from matbase.setfam import (GroundSet, LinearConstraint, bits, ksubsets,
                             submasks)
 
@@ -105,12 +106,6 @@ def test_enumerator_respects_constraints():
     want = {frozenset(s.bases.masks) for s in allsubs
             if s.rank_of(g.mask("ab")) == 1}
     assert {frozenset(s.bases.masks) for s in got} == want
-    # forbidden rows must stay violated: abc has to remain a base
-    cons = InclusionConstraints.of(g, forbidden=("{a,b,c}<=2",))
-    got = enumerate_included_rank3(u, cons)
-    want = {frozenset(s.bases.masks) for s in allsubs
-            if g.mask("abc") in s.bases}
-    assert {frozenset(s.bases.masks) for s in got} == want
 
 
 def test_inclusion_constraint_errors():
@@ -144,9 +139,14 @@ def test_direct_require_facet_string():
         InclusionConstraints(require_facet=("{a,b}<=1",))
 
 
-def test_direct_forbidden_string():
-    with pytest.raises(ConstraintError):
-        InclusionConstraints(forbidden=("{a,b,c}<=2",))
+def test_positional_constraints_rejected():
+    # keyword-only: a third positional argument is not read as anything
+    g = get_example("seven_typed")["M"].ground
+    c = LinearConstraint.parse(g, "{b,d}<=1")
+    with pytest.raises(TypeError):
+        InclusionConstraints((), (), (c,))
+    with pytest.raises(TypeError):
+        InclusionConstraints((g.mask("ab"),))
 
 
 def test_constraint_on_another_ground_rejected():
@@ -158,11 +158,7 @@ def test_constraint_on_another_ground_rejected():
     with pytest.raises(GroundMismatchError):
         InclusionConstraints.of(g, require_facet=[other])
     with pytest.raises(GroundMismatchError):
-        InclusionConstraints.of(g, forbidden=[other])
-    for cons in (InclusionConstraints(require_facet=(other,)),
-                 InclusionConstraints(forbidden=(other,))):
-        with pytest.raises(GroundMismatchError):
-            enumerate_included_rank3(m, cons)
+        enumerate_included_rank3(m, InclusionConstraints(require_facet=(other,)))
 
 
 def test_direct_forced_rank1_full_ground():
@@ -390,8 +386,33 @@ SEARCH_GAP = {
         reason="the search joins lines before it merges their classes"))
     for idx in sorted(SEARCH_GAP)])
 def test_inclusion_search_misses_merged_classes(idx):
-    m = census_rank3(8)[idx]
-    missed = [system(8, *sub) for sub in SEARCH_GAP[idx]]
+    check_search_finds(census_rank3(8)[idx], SEARCH_GAP[idx])
+
+
+# the same gap on the paper's own 11-point matroid: 105 connected
+# systems lie properly below lucascon M1, and the search finds 102
+LUCASCON_GAP = [
+    (["ace", "dgi", "bj"], ["acdefgi", "bdghij", "fhk", "abcejk"]),
+    (["bh", "gi", "acefk"], ["bghij", "acdefgik"]),
+    (["fh", "cj", "bdeik"], ["cfghj", "abdefhik"]),
+]
+
+
+@pytest.mark.xfail(raises=MissedSystems, strict=True,
+                   reason="the search joins lines before it merges their "
+                          "classes")
+def test_inclusion_search_misses_systems_below_lucascon():
+    m = get_example("lucascon")["M1"]
+    assert m.ground == ground(11)
+    assert classify(m).kind == "c"
+    check_search_finds(m, LUCASCON_GAP)
+
+
+def check_search_finds(m, subs):
+    """Build each (classes, lines) of subs on the ground of m, check that
+    it is a connected system properly below m, and raise MissedSystems
+    unless enumerate_included_rank3(m) returns all of them."""
+    missed = [system(m.ground.n, *sub) for sub in subs]
     for sub in missed:
         assert exchange_ok_brute(sub.bases.masks) and sub.is_connected()
         assert set(sub.bases.masks) < set(m.bases.masks)
@@ -435,6 +456,17 @@ def test_require_facet_builds_only_returned_matroids(monkeypatch):
                    for sub in found)
         built += len(found)
         assert counts["builds"] == built
+
+
+def test_search_with_required_facet_builds_no_matroid(monkeypatch):
+    # the facet keys of each profile decide every require_facet entry,
+    # so a search run to the end builds no matroid
+    m = uniform_matroid(3, 6)
+    counts = count_searches(monkeypatch)
+    for text in ("{a,b}<=1", "{a,b,c}<=2", "{a,b}<=1 {c,d,e}<=2"):
+        cons = InclusionConstraints.of(m.ground, require_facet=text.split())
+        assert list(search_profiles(m, cons))
+    assert counts["runs"] == 3 and counts["builds"] == 0
 
 
 def test_short_rank2_facet_skips_the_engine(monkeypatch):

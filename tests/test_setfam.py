@@ -58,6 +58,27 @@ def test_set_over_another_ground_rejected():
     assert is_facet_defining_base(m, same).facet_of_base
 
 
+def test_malformed_subset_rejected():
+    # a non-iterable names no subset, and a repeated label is no set:
+    # {a,a} used to be read as {a}
+    m = uniform_matroid(3, 5, "abcde")
+    g = m.ground
+    for bad in (None, 1.5, ["a", "a"], "aa", ("b", "c", "b")):
+        for read in (lambda: ElementSet.of(g, bad),
+                     lambda: is_facet_defining_base(m, bad),
+                     lambda: InclusionConstraints.of(g, forced_rank1=[bad])):
+            with pytest.raises(GroundMismatchError):
+                read()
+    for text in ("{a,a}<=1", "{aba}<=2", "{c,b,c}>=1"):
+        with pytest.raises(FormatError):
+            LinearConstraint.parse(g, text)
+    with pytest.raises(FormatError):
+        InclusionConstraints.of(g, require_facet=["{a,a}<=1"])
+    # the plain-int path and well-formed iterables are unchanged
+    assert ElementSet.of(g, 0b101).mask == g.mask(["a", "c"]) == 0b101
+    assert g.mask(iter("ab")) == 0b11
+
+
 def test_multichar_labels():
     g = GroundSet(["e1", "e2", "e10"])
     assert g.mask(["e1", "e10"]) == 0b101

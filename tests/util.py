@@ -314,8 +314,9 @@ def included_by_first_round(m, constraints):
     each required rank-2 facet Z join the seed classes, and the triples
     of each forced rank-2 set, of each Z and of A | C for each component
     C of g(A, E-A) of each required rank-1 facet A must be dependent.
-    The twin of rank3.search_profiles seeded from propagate's closure;
-    the constraints must fit the ground of m."""
+    Each require_facet entry is decided by a fresh facet report on the
+    profile's matroid.  The twin of rank3.search_profiles seeded from
+    propagate's closure; the constraints must fit the ground of m."""
     rank3.check_rank3_input(m)
     own = rank3.rank3_profile(m)
     full = m.ground.full_mask
@@ -345,7 +346,11 @@ def included_by_first_round(m, constraints):
     engine = rank3._Engine(full, mandatory, cert1, cert2)
     for classes, lines in engine.run(seed):
         profile = rank3.Rank3Profile(m.ground, classes, lines)
-        if profile != own and rank3._finalize_ok(profile, constraints):
+        if profile == own:
+            continue
+        mat = profile.matroid()
+        if all(facet_inequality_by_report(mat, c.support, c.bound)
+               for c in constraints.require_facet):
             yield profile
 
 
