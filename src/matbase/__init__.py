@@ -8,7 +8,7 @@ from .errors import (ConstraintError, ContradictionError, EmptyFamilyError,
                      RankError)
 from .setfam import (ElementSet, GroundSet, LinearConstraint, SetFamily, bits,
                      family_from_constraints, ksubsets, submasks)
-from .matroid import (Matroid, are_isomorphic, matroid_from_bases,
+from .matroid import (Matroid, matroid_from_bases,
                       matroid_from_flat_constraints, uniform_matroid)
 from .facets import (FacetReport, base_dimension, base_facets,
                      check_intersecting_submodularity, face_split,

@@ -430,64 +430,10 @@ class Matroid:
             self.ground.n, self.rank, len(self.bases))
 
 
-def are_isomorphic(m1, m2):
-    """Label-bijection test between two matroids, with pair-degree pruning.
-
-    Meant for small ground sets; the search maps elements in order and prunes
-    on base counts through single elements and pairs.
-    """
-    if (m1.ground.n != m2.ground.n or m1.rank != m2.rank
-            or len(m1.bases) != len(m2.bases)):
-        return False
-    n = m1.ground.n
-
-    def degs(m):
-        d1 = [0] * n
-        d2 = [[0] * n for _ in range(n)]
-        for b in m.bases.masks:
-            idx = list(bits(b))
-            for i in idx:
-                d1[i] += 1
-            for i, j in itertools.combinations(idx, 2):
-                d2[i][j] += 1
-                d2[j][i] += 1
-        return d1, d2
-
-    da1, da2 = degs(m1)
-    db1, db2 = degs(m2)
-    if sorted(da1) != sorted(db1):
-        return False
-    target = m2.bases._set
-    img = [-1] * n
-    used = [False] * n
-
-    def extend(i):
-        if i == n:
-            for b in m1.bases.masks:
-                mb = 0
-                for x in bits(b):
-                    mb |= 1 << img[x]
-                if mb not in target:
-                    return False
-            return True
-        for j in range(n):
-            if used[j] or da1[i] != db1[j]:
-                continue
-            if any(da2[i][k] != db2[j][img[k]] for k in range(i)):
-                continue
-            img[i] = j
-            used[j] = True
-            if extend(i + 1):
-                return True
-            used[j] = False
-            img[i] = -1
-        return False
-
-    return extend(0)
-
-
 def uniform_matroid(rank, n, labels=None):
     """The uniform matroid: every rank-subset of an n-element ground set."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (rank, n)):
+        raise RankError("uniform matroid needs an int rank and size")
     if not 0 <= rank <= n:
         raise RankError("uniform matroid needs 0 <= rank <= n")
     if labels is None:

@@ -68,7 +68,7 @@ class GroundSet:
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     def index(self, label):
-        i = self._index.get(label)
+        i = self._index.get(label) if isinstance(label, str) else None
         if i is None:
             raise GroundMismatchError("label %r not in ground set" % (label,))
         return i
@@ -80,9 +80,7 @@ class GroundSet:
         contributes its mask unless its ground attribute is another ground.
         A non-iterable, or a label repeated within one iterable, is refused."""
         if isinstance(elems, int):
-            if isinstance(elems, bool):
-                raise GroundMismatchError("a bool names no subset of a ground")
-            return self.check_mask(elems)
+            return _int_mask(self, elems)
         if isinstance(getattr(elems, "mask", None), int):
             if getattr(elems, "ground", self) != self:
                 raise GroundMismatchError("set lives on another ground set")
@@ -143,6 +141,13 @@ class GroundSet:
         return "GroundSet(%s)" % ",".join(self.labels)
 
 
+def _int_mask(ground, mask):
+    """mask, checked against ground; a bool or a non-int is refused."""
+    if isinstance(mask, bool) or not isinstance(mask, int):
+        raise GroundMismatchError("%r names no subset of a ground" % (mask,))
+    return ground.check_mask(mask)
+
+
 def _same_ground(a, b):
     if a.ground != b.ground:
         raise GroundMismatchError("objects live on different ground sets")
@@ -156,7 +161,7 @@ class ElementSet:
     mask: int
 
     def __post_init__(self):
-        self.ground.check_mask(self.mask)
+        _int_mask(self.ground, self.mask)
 
     @classmethod
     def of(cls, ground, elems):
@@ -211,10 +216,11 @@ class LinearConstraint:
     bound: int
 
     def __post_init__(self):
-        self.ground.check_mask(self.support)
+        _int_mask(self.ground, self.support)
         if self.dir not in ("<=", ">=", "=="):
             raise ConstraintError("bad direction %r" % (self.dir,))
-        if not isinstance(self.bound, int) or self.bound < 0:
+        if (isinstance(self.bound, bool) or not isinstance(self.bound, int)
+                or self.bound < 0):
             raise ConstraintError("bad bound %r" % (self.bound,))
         if self.dir == "==":
             # an equality (A,a)= needs 0 <= a <= |A| on a nonempty support

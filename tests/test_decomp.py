@@ -17,16 +17,17 @@ from matbase.errors import (ConstraintError, ContradictionError,
                             GroundMismatchError, InconclusiveError,
                             NotConnectedError, NotSimpleError)
 from matbase.examples import get_example
-from matbase.matroid import (are_isomorphic, matroid_from_flat_constraints,
-                             uniform_matroid)
+from matbase.matroid import matroid_from_flat_constraints, uniform_matroid
 from matbase.order import enumerate_included_rank3, iter_included_rank3
 from matbase.rank3 import InclusionConstraints, facet_rank2_flats, propagate
 from matbase.setfam import bits, ksubsets, submasks
 
-from util import (count_engine_steps, count_searches, ground, pool_rank3,
-                  rank3_split_by_flat_rule, seed_pieces_by_partitions,
-                  set_partitions_3, split_families, splits_by_halves,
-                  supporting_face, try_matroid, two_decompose_by_halves)
+from util import (count_engine_steps, count_searches, ground,
+                  line_key_by_permutations, pool_rank3,
+                  rank3_profile_by_flats, rank3_split_by_flat_rule,
+                  seed_pieces_by_partitions, set_partitions_3, split_families,
+                  splits_by_halves, supporting_face, try_matroid,
+                  two_decompose_by_halves)
 
 
 def test_two_decompose_fixture():
@@ -451,17 +452,25 @@ def test_classify_errors():
         classify(get_example("seven_typed")["M"].dual())
 
 
+def _line_key(m):
+    """The n! key of a simple rank-3 matroid's long lines: equal exactly
+    on isomorphic simple rank-3 matroids of one size, and independent of
+    the census key."""
+    return line_key_by_permutations(m.ground.n,
+                                    rank3_profile_by_flats(m).long_lines)
+
+
 def test_census_counts():
     # [DERIVED] frozen totals of isomorphism classes of connected simple
     # rank-3 matroids
     assert [len(census_rank3(n)) for n in (4, 5, 6, 7, 8)] == [1, 3, 8, 22, 67]
     for n in (6, 7):
         reps = census_rank3(n)
-        for i, m1 in enumerate(reps):
-            assert m1.ground.n == n and m1.rank == 3
-            assert m1.is_connected() and not m1.loops()
-            for m2 in reps[i + 1:]:
-                assert not are_isomorphic(m1, m2)
+        for m in reps:
+            assert m.ground.n == n and m.rank == 3
+            assert m.is_connected() and m.is_simple()
+        # pairwise non-isomorphic: one n! key per class, all distinct
+        assert len({_line_key(m) for m in reps}) == len(reps)
     with pytest.raises(ConstraintError):
         census_rank3(3)
     with pytest.raises(ConstraintError):
@@ -485,8 +494,9 @@ def test_census_covers_pool():
     pool = [m for m in pool_rank3(6, simple_only=True, connected_only=True)
             if m.ground.n == 6]
     assert pool
+    keys = [_line_key(rep) for rep in reps]
     for m in pool:
-        assert sum(are_isomorphic(m, rep) for rep in reps) == 1
+        assert keys.count(_line_key(m)) == 1
 
 
 def test_census_complete_on_five_points():
@@ -494,7 +504,7 @@ def test_census_complete_on_five_points():
     # grouped into isomorphism classes by brute relabeling
     g = ground(5)
     triples = sorted(ksubsets(g.full_mask, 3))
-    seen = []
+    seen = set()
     for sel in range(1, 1 << len(triples)):
         fam = [triples[i] for i in bits(sel)]
         m = try_matroid(g, fam)
@@ -502,12 +512,10 @@ def test_census_complete_on_five_points():
             continue
         if any(c.bit_count() > 1 for c in m.parallel_classes()):
             continue
-        if not any(are_isomorphic(m, s) for s in seen):
-            seen.append(m)
+        seen.add(_line_key(m))
     reps = census_rank3(5)
     assert len(seen) == len(reps) == 3
-    for m in seen:
-        assert sum(are_isomorphic(m, rep) for rep in reps) == 1
+    assert {_line_key(rep) for rep in reps} == seen
 
 
 def test_census_neither_filter():

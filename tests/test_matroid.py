@@ -5,13 +5,14 @@ import random
 import pytest
 
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
-                            GroundMismatchError, MixedCardinalityError)
-from matbase.matroid import (Matroid, are_isomorphic, matroid_from_bases,
+                            GroundMismatchError, MixedCardinalityError,
+                            RankError)
+from matbase.matroid import (Matroid, matroid_from_bases,
                              matroid_from_flat_constraints, uniform_matroid)
 from matbase.setfam import GroundSet, bits, ksubsets, submasks
 
 from util import (exchange_ok_brute, ground, independent_sets, label_sets,
-                  pool_small, rank_brute, relabel, try_matroid)
+                  pool_small, rank_brute, try_matroid)
 
 
 def test_construction_errors():
@@ -62,6 +63,10 @@ def test_uniform_matroid():
     m = uniform_matroid(2, 4)
     assert len(m.bases) == 6 and m.rank == 2
     assert uniform_matroid(3, 5, "abcde").ground.labels == tuple("abcde")
+    # a rank or size that is not an int; True would otherwise read as 1
+    for rank, n in ((2.5, 4), (True, 3), (2, 4.0), (1, True), ("2", 4)):
+        with pytest.raises(RankError):
+            uniform_matroid(rank, n)
 
 
 def test_rank_oracle_small():
@@ -236,7 +241,8 @@ def test_simplify():
                              [b for b in ksubsets(0b11111, 2)
                               if b & 0b11 != 0b11])
     sd, _ = dup.simplify()
-    assert are_isomorphic(sd, uniform_matroid(2, 4))
+    # the simplification is U(2,4): four points, every pair a base
+    assert (sd.rank, sd.ground.n, len(sd.bases)) == (2, 4, 6)
     for m in pool_small(5):
         # simple: every set of at most two elements is independent
         small = [a for a in submasks(m.ground.full_mask) if a.bit_count() <= 2]
@@ -289,12 +295,3 @@ def test_binary_agrees_with_brute_minor_search():
     for m in pool_small(6):
         assert m.is_binary() == (not _u24_minor_brute(m))
         assert m.is_binary() == (m.find_u24_minor() is None)
-
-
-def test_are_isomorphic():
-    g = ground(5)
-    m = matroid_from_flat_constraints(g, 3, [("abc", 2), ("cde", 2)])
-    perm = dict(zip("abcde", "eacdb"))
-    assert are_isomorphic(m, relabel(m, perm))
-    assert not are_isomorphic(m, uniform_matroid(3, 5, "abcde"))
-    assert not are_isomorphic(m, uniform_matroid(2, 4))

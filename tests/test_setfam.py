@@ -39,6 +39,12 @@ def test_ground_set_errors():
     for flag in (True, False):
         with pytest.raises(GroundMismatchError):
             g.mask(flag)
+    # an unhashable member is no label
+    for bad in ([["a"]], [{"a"}], ("a", ["b"])):
+        with pytest.raises(GroundMismatchError):
+            g.mask(bad)
+    with pytest.raises(GroundMismatchError):
+        g.index(["a"])
 
 
 def test_set_over_another_ground_rejected():
@@ -77,6 +83,17 @@ def test_malformed_subset_rejected():
     # the plain-int path and well-formed iterables are unchanged
     assert ElementSet.of(g, 0b101).mask == g.mask(["a", "c"]) == 0b101
     assert g.mask(iter("ab")) == 0b11
+    # a bool or non-int mask or support names no subset, and a bool is no
+    # bound: True would otherwise read as {a}, or as the bound 1
+    for bad in (True, False, 1.5, "a", None):
+        for read in (lambda: ElementSet(g, bad),
+                     lambda: LinearConstraint(g, bad, "<=", 1)):
+            with pytest.raises(GroundMismatchError):
+                read()
+    for bad in (True, False):
+        with pytest.raises(ConstraintError):
+            LinearConstraint(g, 0b11, "<=", bad)
+    assert str(LinearConstraint(g, 0b11, "<=", 1)) == "{a,b}<=1"
 
 
 def test_multichar_labels():
