@@ -70,11 +70,28 @@ def _connected(full, support, classes, lines):
     ground.  A separator A of a loopless rank-3 matroid has
     r(A) + r(E-A) = 3 and neither side has rank 0, so one side is a
     parallel class C and E-C has rank 2: either only two classes are
-    left, or E-C is a long line (Oxley, Matroid Theory, ch. 4).
+    left, or E-C is a long line (Oxley, Matroid Theory, ch. 4), which
+    is read as a line whose complement is a class.
     """
     if support != full or len(classes) == 3:
         return False
-    return all(support & ~c not in lines for c in classes)
+    for l in lines:
+        if support & ~l in classes:
+            return False
+    return True
+
+
+def _state_key(width, classes, lines):
+    """One int for a (classes, lines) state whose masks have at most
+    width bits: the classes, then the lines, as width-bit fields from
+    the top.  Distinct states get distinct keys.  Every mask is nonzero,
+    so the bit length of the key gives the number of fields, and the
+    classes partition the support, so they end at the first field where
+    their union is the whole support."""
+    key = 0
+    for mask in classes + lines:
+        key = key << width | mask
+    return key
 
 
 @dataclass(frozen=True)
@@ -402,25 +419,31 @@ class _Engine:
     missed, as some are below census_rank3(8) classes 50, 51, 57, 59,
     and 3 of the 105 connected systems below lucascon M1.
 
-    A new state whose matroid is disconnected (_connected) is put in
-    seen but never pushed, so nothing below it is searched; the start
-    state is tested the same way.  That is exact: a child has the same
-    rank and fewer bases, and when B(M') lies in B(M) at equal rank,
-    every separator A of M, r(A) + r(E-A) = r(E), is one of M' too, since
-    r' <= r and r'(E) = r(E).  So every descendant of a disconnected
-    state is disconnected or dead.
+    A new state whose matroid is disconnected (_connected) is never
+    pushed, so nothing below it is searched; the start state is tested
+    the same way.  That is exact: a child has the same rank and fewer
+    bases, and when B(M') lies in B(M) at equal rank, every separator A
+    of M, r(A) + r(E-A) = r(E), is one of M' too, since r' <= r and
+    r'(E) = r(E).  So every descendant of a disconnected state is
+    disconnected or dead.
+
+    seen holds the _state_key of each pushed state and nothing else.  A
+    disconnected state is not stored: made again, it fails _connected
+    again, so leaving it out changes neither the states pushed nor
+    their order, and the memory of a run grows with the states it
+    pushes alone.
     """
 
     def __init__(self, support, mandatory, cert1=(), cert2=()):
         self.support = support
-        self.cert1 = tuple(cert1)
         self.cert2 = tuple(cert2)
+        self.certs = tuple(cert1) + self.cert2
         self.tri = _Triples(support)
         self.mandatory_bits = self.tri.bitset(mandatory)
 
     def _guards_ok(self, classes, lines):
         # certified flats must remain unions of classes in the end
-        for a in self.cert1 + self.cert2:
+        for a in self.certs:
             for c in classes:
                 if c & a and c & ~a:
                     return False
@@ -493,7 +516,7 @@ class _Engine:
             if l == self.support:
                 return None  # all classes collinear, rank <= 2
             kept.append(l)
-        if not self._guards_ok(classes, kept):
+        if self.certs and not self._guards_ok(classes, kept):
             return None
         return tuple(classes), tuple(sorted(kept))
 
@@ -505,7 +528,8 @@ class _Engine:
         if (len(start[0]) < 3 or not self._guards_ok(*start)
                 or not _connected(full, full, *start)):
             return
-        seen = {start}
+        width = full.bit_length()
+        seen = {_state_key(width, *start)}
         stack = [start]
         while stack:
             classes, lines = stack.pop()
@@ -519,10 +543,12 @@ class _Engine:
                 picks = self._picks(lines, classes)
             for pick in picks:
                 state = self._child(classes, lines, pick)
-                if state is not None and state not in seen:
-                    seen.add(state)
-                    if _connected(full, full, *state):
-                        stack.append(state)
+                if state is None:
+                    continue
+                key = _state_key(width, *state)
+                if key not in seen and _connected(full, full, *state):
+                    seen.add(key)
+                    stack.append(state)
 
 
 def search_profiles(m, constraints=None):

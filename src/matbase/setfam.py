@@ -129,7 +129,7 @@ class GroundSet:
         return iter(self.labels)
 
     def __contains__(self, label):
-        return label in self._index
+        return isinstance(label, str) and label in self._index
 
     def __eq__(self, other):
         return isinstance(other, GroundSet) and self.labels == other.labels
@@ -310,6 +310,11 @@ class SetFamily:
         return iter(self.masks)
 
     def __contains__(self, mask):
+        """Whether the set named by a plain int mask, or by anything
+        ground.mask reads, is a member; a bool or a set on another ground
+        is refused."""
+        if type(mask) is not int:
+            mask = self.ground.mask(mask)
         return mask in self._set
 
     def __eq__(self, other):

@@ -9,9 +9,10 @@ points, the face test of verify_decomposition
 against the ordered-partition recursion and the exchange edges, the
 census key on every family the census enumeration meets up to seven
 points, the profile connectivity and facet keys on every rank-3 system
-below small matroids, the inclusion search against those systems, and
-the constrained inclusion search against the engine seeded with the
-first round of the forcing rules."""
+below small matroids, the inclusion search against those systems, the
+engine's run against the loop that stored every state it made, and its
+state key on wide masks, and the constrained inclusion search against
+the engine seeded with the first round of the forcing rules."""
 
 import functools
 import itertools
@@ -37,8 +38,9 @@ from matbase.matroid import (Matroid, _exchange_witness, merge_overlapping,
                              matroid_from_flat_constraints, uniform_matroid)
 from matbase.order import iter_included_rank3
 from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Engine,
-                           check_rank3_input, facet_graph_components,
-                           facet_rank2_flats, rank3_profile, search_profiles)
+                           _state_key, check_rank3_input,
+                           facet_graph_components, facet_rank2_flats,
+                           rank3_profile, search_profiles)
 from matbase.setfam import GroundSet, LinearConstraint, bits, ksubsets
 
 from util import (automorphisms, children, closure_by_rank, count_beams,
@@ -52,7 +54,8 @@ from util import (automorphisms, children, closure_by_rank, count_beams,
                   merge_by_union_find, moves_pairwise, normalize_cascade,
                   pool_rank3, pool_small,
                   rank3_profile_by_flats, rank_brute, relabel_mask,
-                  run_by_fewest_picks, scan_per_triple, split_families,
+                  run_by_fewest_picks, run_storing_every_state,
+                  scan_per_triple, split_families,
                   systems_below, two_decompose_by_halves)
 
 
@@ -866,6 +869,111 @@ def test_pruned_search_matches_filtered_on_fixtures():
 @given(line_families(max_n=6))
 def test_pruned_search_matches_filtered_on_line_families(case):
     pruned_matches_filtered(matroid_of_lines(*case))
+
+
+def engine_runs(m, constraints=None):
+    """(engine, seed classes) of each _Engine run that
+    search_profiles(m, constraints) makes, read by wrapping run."""
+    runs = []
+    run = _Engine.run
+
+    def recorded(self, seed_classes):
+        runs.append((self, list(seed_classes)))
+        return run(self, seed_classes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "run", recorded)
+        list(search_profiles(m, constraints))
+    return runs
+
+
+def run_matches_full_state_twin(m, constraints=None):
+    """Each engine run of search_profiles(m, constraints) against
+    run_storing_every_state: the same states in the same order, and as
+    many pushes as the engine pops, one _scan each.  Returns the number
+    of runs and of states yielded."""
+    runs = engine_runs(m, constraints)
+    yielded = 0
+    for engine, seed in runs:
+        counts = Counter()
+        scan = engine._scan
+
+        def counted_scan(classes, lines):
+            counts["popped"] += 1
+            return scan(classes, lines)
+
+        engine._scan = counted_scan
+        got = list(engine.run(seed))
+        del engine._scan
+        assert got == list(run_storing_every_state(engine, seed, counts))
+        assert counts["popped"] == counts["pushed"]
+        yielded += len(got)
+    return len(runs), yielded
+
+
+def test_run_matches_full_state_twin_on_census_and_fixtures():
+    # every census class up to seven points but the two with at most one
+    # dependent triple, and every fixture on at most eleven points that
+    # check_rank3_input accepts, lucascon M1 among them
+    pool = (list(filter(cheap_to_search, CENSUS_TO_7))
+            + list(rank3_fixtures(11)))
+    assert get_example("lucascon")["M1"] in pool
+    runs = yielded = 0
+    for m in pool:
+        r, y = run_matches_full_state_twin(m)
+        runs += r
+        yielded += y
+    assert runs == len(pool) and yielded > 5000
+
+
+def test_run_matches_full_state_twin_with_certified_flats():
+    # constrained runs on seven_typed M: each pair as a required rank-1
+    # facet and each triple as a required rank-2 facet, alone and with
+    # the first two points outside it forced to rank 1.  Each engine
+    # guards a certified flat, so _guards_ok runs on every child
+    m = get_example("seven_typed")["M"]
+    g = m.ground
+    runs = yielded = 0
+    for k in (2, 3):
+        for a in ksubsets(g.full_mask, k):
+            required = (LinearConstraint(g, a, "<=", k - 1),)
+            first, second = list(bits(g.full_mask & ~a))[:2]
+            for forced in ((), (1 << first | 1 << second,)):
+                cons = InclusionConstraints(forced_rank1=forced,
+                                            require_facet=required)
+                r, y = run_matches_full_state_twin(m, cons)
+                runs += r
+                yielded += y
+    assert runs > 50 and yielded > 10
+
+
+def test_state_key_is_injective_on_wide_masks():
+    # states on supports of 17 to 64 points, whose masks reach 2^16 and
+    # above: the key is read back field by field into the state's masks,
+    # so distinct states get distinct keys, also those a 16-bit field
+    # or a key without the lines would fold together
+    rng = random.Random(0)
+    for n in (17, 33, 64):
+        support = (1 << n) - 1
+        keys = {}
+        for _ in range(200):
+            by_tag = {}
+            tags = rng.choice((3, 6, n))
+            for i in range(n):
+                tag = rng.randrange(tags)
+                by_tag[tag] = by_tag.get(tag, 0) | 1 << i
+            classes = tuple(sorted(by_tag.values()))
+            lines = ()
+            if len(classes) >= 3:
+                lines = tuple(sorted({sum(rng.sample(classes, 3))
+                                      for _ in range(rng.randint(0, 3))}))
+            masks = classes + lines
+            key = _state_key(n, classes, lines)
+            assert [key >> n * k & support
+                    for k in reversed(range(len(masks)))] == list(masks)
+            assert key.bit_length() > n * (len(masks) - 1)
+            assert keys.setdefault(key, (classes, lines)) == (classes, lines)
+        assert len(keys) > 150
 
 
 def random_inclusion_constraints(g, rng):

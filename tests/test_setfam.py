@@ -45,6 +45,11 @@ def test_ground_set_errors():
             g.mask(bad)
     with pytest.raises(GroundMismatchError):
         g.index(["a"])
+    # membership asks for one label: any other query is no member, an
+    # unhashable one included
+    for query in (["a"], {"a"}, ("a",), 0, None, b"a", "ab"):
+        assert query not in g
+    assert "a" in g
 
 
 def test_set_over_another_ground_rejected():
@@ -229,3 +234,21 @@ def test_set_family_canonical_order():
     # [TRIVIAL] ascending bitmask order, deduplicated
     assert fam.masks == (0b0011, 0b1010, 0b1100)
     assert SetFamily(g, [0b0011, 0b0011]).masks == (0b0011,)
+
+
+def test_set_family_membership_reads_sets():
+    # an int mask is looked up as it is; a label string, a label list or
+    # an ElementSet is read as the set it names: "ab" used to answer
+    # False although {a,b} is a base
+    m = uniform_matroid(2, 4, "abcd")
+    g = m.ground
+    assert 0b11 in m.bases and 0b111 not in m.bases and -1 not in m.bases
+    assert "ab" in m.bases and ["b", "d"] in m.bases
+    assert ElementSet.of(g, "cd") in m.bases
+    assert "abc" not in m.bases and "a" not in m.bases
+    # a bool names no subset, and neither does a set on another ground
+    # or a label outside the ground
+    for bad in (True, False, ElementSet.of(GroundSet("wxyz"), "wx"),
+                "az", [["a"]], None):
+        with pytest.raises(GroundMismatchError):
+            bad in m.bases

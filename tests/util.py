@@ -307,6 +307,38 @@ def run_by_fewest_picks(engine, seed_classes):
                 stack.append(state)
 
 
+def run_storing_every_state(engine, seed_classes, counts):
+    """The states an _Engine yields from the seed classes, by the loop it
+    had before seen held packed keys: seen holds every new state as its
+    (classes, lines) tuples, a disconnected one too, which is stored but
+    not pushed.  counts["pushed"] counts the states pushed, the start
+    state included.  The twin of _Engine.run."""
+    start = (tuple(sorted(seed_classes)), ())
+    full = engine.support
+    if (len(start[0]) < 3 or not engine._guards_ok(*start)
+            or not rank3._connected(full, full, *start)):
+        return
+    seen = {start}
+    stack = [start]
+    counts["pushed"] += 1
+    while stack:
+        classes, lines = stack.pop()
+        uncovered = engine._scan(classes, lines)
+        if uncovered:
+            t = engine.tri.masks[(uncovered & -uncovered).bit_length() - 1]
+            picks = engine._picks(lines, [c for c in classes if c & t])
+        else:
+            yield classes, lines
+            picks = engine._picks(lines, classes)
+        for pick in picks:
+            state = engine._child(classes, lines, pick)
+            if state is not None and state not in seen:
+                seen.add(state)
+                if rank3._connected(full, full, *state):
+                    stack.append(state)
+                    counts["pushed"] += 1
+
+
 def included_by_first_round(m, constraints):
     """The profiles iter_included_rank3(m, constraints) yields, in search
     order, by an engine seeded with the first round of the forcing rules
