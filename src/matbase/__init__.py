@@ -15,8 +15,7 @@ from .facets import (FacetReport, base_dimension, base_facets,
                      is_facet_defining_base, is_facet_defining_ind,
                      minimum_flat_representation)
 from .order import (enumerate_included_rank3, is_weak_minimal_rank3,
-                    iter_included_rank3, no_strict_intermediate_rank3,
-                    weak_leq)
+                    no_strict_intermediate_rank3, weak_leq)
 from .rank3 import (InclusionConstraints, Rank3Profile, facet_graph_components,
                     facet_rank2_flats, propagate, rank3_profile)
 from .decomp import (CLASS_LABELS, CorollaryWitness, Decomposition,

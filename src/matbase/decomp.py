@@ -21,9 +21,9 @@ from .errors import (ConstraintError, ExchangeAxiomError, GroundMismatchError,
 from .setfam import LinearConstraint, bits, ksubsets, submasks
 from .matroid import _exchange_witness, matroid_from_bases
 from .facets import _facet_table, is_facet_inequality
-from .rank3 import (Rank3Profile, check_rank3_input, facet_graph_components,
-                    facet_rank2_flats)
-from .order import _included_profiles, enumerate_included_rank3
+from .rank3 import (check_rank3_input, facet_graph_components,
+                    facet_rank2_flats, rank3_profile)
+from .order import enumerate_included_rank3, no_strict_intermediate_rank3
 
 
 # --------------------------------------------------------------- 2-splits
@@ -551,7 +551,7 @@ class MatroidClass:
     """One of the five mutually exclusive types, with checkable evidence:
     a four-point-line minor is absent for kind a, kind e carries the
     2-piece decomposition, kind d a longer one, kind c an included base
-    system, kind b nothing, being weak-map minimal."""
+    system that it covers, kind b nothing, being weak-map minimal."""
 
     kind: str
     label: str
@@ -568,7 +568,11 @@ def classify(m, max_pieces=16):
     remaining kinds needs the rank-3 inclusion search, so other ranks
     raise InconclusiveError past those two tests.  Kinds b and c rest on
     that search, which can miss systems from eight points on, 3 of the
-    105 below lucascon M1 among them (enumerate_included_rank3).
+    105 below lucascon M1 among them (enumerate_included_rank3).  The
+    (c) witness is the least system, by Rank3Profile.key, among the
+    maximal ones of the pool, so it does not depend on the search
+    order; no_strict_intermediate_rank3 checks that m covers it, and
+    AssertionError is raised if that check fails.
     Non-simple or disconnected input is rejected: simplify, or classify
     per component.  A max_pieces that is not an int (bool included) or
     is below 2 is a ConstraintError.
@@ -587,14 +591,16 @@ def classify(m, max_pieces=16):
         raise InconclusiveError(
             "non-binary, not 2-decomposable: rank-%d matroids are beyond "
             "the inclusion search" % m.rank)
-    # one search: the pool is its profiles sorted, the (c) witness the
-    # first one found
-    found = list(_included_profiles(m, None))
-    mats = {p: p.matroid() for p in found}
-    pool = [mats[p] for p in sorted(found, key=Rank3Profile.key)]
+    pool = enumerate_included_rank3(m)
     dec = _decompose_rank3(m, max_pieces, pool)
     if dec is not None:
         return MatroidClass("d", CLASS_LABELS["d"], dec)
-    if found:
-        return MatroidClass("c", CLASS_LABELS["c"], mats[found[0]])
-    return MatroidClass("b", CLASS_LABELS["b"])
+    if not pool:
+        return MatroidClass("b", CLASS_LABELS["b"])
+    # the least maximal system of the sorted pool, which m covers
+    fams = [frozenset(p.bases) for p in pool]
+    cover = next(p for p, f in zip(pool, fams) if not any(f < g for g in fams))
+    if not no_strict_intermediate_rank3(cover, m):
+        raise AssertionError("the maximal included system %s is no cover"
+                             % rank3_profile(cover).show())
+    return MatroidClass("c", CLASS_LABELS["c"], cover)

@@ -7,8 +7,8 @@ from .rank3 import (InclusionConstraints, Rank3Profile, _Engine,
 
 __all__ = [
     "InclusionConstraints", "Rank3Profile", "rank3_profile", "weak_leq",
-    "iter_included_rank3", "enumerate_included_rank3",
-    "is_weak_minimal_rank3", "no_strict_intermediate_rank3",
+    "enumerate_included_rank3", "is_weak_minimal_rank3",
+    "no_strict_intermediate_rank3",
 ]
 
 
@@ -34,13 +34,6 @@ def _included_profiles(m, constraints):
             yield profile
 
 
-def iter_included_rank3(m, constraints=None):
-    """Lazily yield the connected matroids M' with B(M') properly inside
-    B(m) that satisfy the given constraints, in search order."""
-    for profile in _included_profiles(m, constraints):
-        yield profile.matroid()
-
-
 def enumerate_included_rank3(m, constraints=None):
     """The properly included connected matroids the search finds,
     canonically ordered by profile (sorted classes, then sorted lines).
@@ -51,12 +44,14 @@ def enumerate_included_rank3(m, constraints=None):
 
 
 def _first_included(m):
-    """The first matroid iter_included_rank3(m) yields, or None.  A
-    binary m includes none, and is answered without a search."""
+    """The matroid of the first profile _included_profiles(m, None)
+    yields, or None; the search stops there.  A binary m includes none,
+    and is answered without a search."""
     check_rank3_input(m)
     if m.is_binary():
         return None
-    return next(iter_included_rank3(m), None)
+    first = next(_included_profiles(m, None), None)
+    return None if first is None else first.matroid()
 
 
 def is_weak_minimal_rank3(m):

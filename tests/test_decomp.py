@@ -2,6 +2,8 @@
 graphs, 3-partitions, constraint propagation, full search, classification,
 and the small-ground census."""
 
+import functools
+
 import pytest
 
 from matbase import decomp
@@ -18,8 +20,10 @@ from matbase.errors import (ConstraintError, ContradictionError,
                             NotConnectedError, NotSimpleError)
 from matbase.examples import get_example
 from matbase.matroid import matroid_from_flat_constraints, uniform_matroid
-from matbase.order import enumerate_included_rank3, iter_included_rank3
-from matbase.rank3 import InclusionConstraints, facet_rank2_flats, propagate
+from matbase.order import (enumerate_included_rank3,
+                           no_strict_intermediate_rank3, weak_leq)
+from matbase.rank3 import (InclusionConstraints, facet_rank2_flats, propagate,
+                           rank3_profile)
 from matbase.setfam import bits, ksubsets, submasks
 
 from util import (count_engine_steps, count_searches, ground,
@@ -483,10 +487,15 @@ def test_census_counts():
             list(iter_line_families(bad))
 
 
+@functools.lru_cache(maxsize=None)
+def census_nine():
+    return tuple(census_rank3(9))
+
+
 def test_census_count_nine():
     # Mayhew & Royle: 383 simple rank-3 matroids on nine elements, one of
     # them disconnected (an eight-point line plus a point)
-    assert len(census_rank3(9)) == 382
+    assert len(census_nine()) == 382
 
 
 def test_census_covers_pool():
@@ -537,18 +546,53 @@ def test_census_neither_filter():
     assert {line_sets(m) for m in n7} == want
 
 
+def least_maximal(pool):
+    """The least system of pool, by profile key, among those that no
+    system of pool lies strictly above in the weak-map order."""
+    maximal = [p for p in pool if not any(
+        weak_leq(p, q) and p.bases != q.bases for q in pool)]
+    return min(maximal, key=lambda p: rank3_profile(p).key())
+
+
 def test_classify_searches_once(monkeypatch):
     minimal = get_example("minimal")["M"]
     nonminimal = get_example("nonminimal")["M"]
     pool = enumerate_included_rank3(nonminimal)
-    first = next(iter_included_rank3(nonminimal))
     counts = count_searches(monkeypatch)
     assert classify(minimal).kind == "b"
     assert counts["runs"] == 1 and counts["builds"] == 0
     counts.clear()
     mc = classify(nonminimal)
-    assert mc.kind == "c" and mc.witness == first
+    assert mc.kind == "c" and mc.witness == least_maximal(pool)
     assert counts["runs"] == 1 and counts["builds"] <= len(pool) + 1
+
+
+# the (c) witness of lucascon M1, as the first system the search found
+# gave it before the witness was the least maximal one
+LUCASCON_COVER = ("classes {a},{b},{c},{e},{d,f,g,h,i},{j},{k} lines "
+                  "{b,c,e},{a,d,e,f,g,h,i},{a,c,j},{b,d,f,g,h,i,j},{a,b,k},"
+                  "{e,j,k}")
+
+
+def test_cover_witness_is_least_maximal():
+    # lucascon M1, nonminimal M and census class 373 at n = 9, all (c):
+    # the witness is the least maximal system of the pool, m covers it,
+    # and lucascon M1 keeps the witness it had
+    lucascon = get_example("lucascon")["M1"]
+    for m in (lucascon, get_example("nonminimal")["M"], census_nine()[373]):
+        mc = classify(m)
+        assert mc.kind == "c"
+        assert mc.witness == least_maximal(enumerate_included_rank3(m))
+        assert no_strict_intermediate_rank3(mc.witness, m)
+        if m is lucascon:
+            assert rank3_profile(mc.witness).show() == LUCASCON_COVER
+
+
+def test_cover_witness_failing_check_raises(monkeypatch):
+    monkeypatch.setattr(decomp, "no_strict_intermediate_rank3",
+                        lambda low, high: False)
+    with pytest.raises(AssertionError, match="is no cover"):
+        classify(get_example("nonminimal")["M"])
 
 
 def test_classify_engine_steps(monkeypatch):

@@ -36,7 +36,7 @@ from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
 from matbase.matroid import (Matroid, _exchange_witness, merge_overlapping,
                              matroid_from_flat_constraints, uniform_matroid)
-from matbase.order import iter_included_rank3
+from matbase.order import _included_profiles
 from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Engine,
                            _state_key, check_rank3_input,
                            facet_graph_components, facet_rank2_flats,
@@ -1011,8 +1011,7 @@ def test_included_search_matches_first_round_seeding():
         rng = random.Random(k)
         for _ in range(16):
             cons = random_inclusion_constraints(m.ground, rng)
-            got = [rank3_profile(sub).key()
-                   for sub in iter_included_rank3(m, cons)]
+            got = [p.key() for p in _included_profiles(m, cons)]
             want = [p.key() for p in included_by_first_round(m, cons)]
             assert len(set(got)) == len(got)
             assert sorted(got) == sorted(want)

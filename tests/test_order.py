@@ -15,8 +15,7 @@ from matbase.facets import is_facet_inequality
 from matbase.matroid import (matroid_from_bases, matroid_from_flat_constraints,
                              uniform_matroid)
 from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
-                           iter_included_rank3, no_strict_intermediate_rank3,
-                           weak_leq)
+                           no_strict_intermediate_rank3, weak_leq)
 from matbase.rank3 import (InclusionConstraints, facet_rank2_flats,
                            propagate, rank3_profile, search_profiles)
 from matbase.setfam import (GroundSet, LinearConstraint, bits, ksubsets,
@@ -81,7 +80,7 @@ def test_enumerator_complete_on_four_line_six_points():
 
 def test_enumerator_stream_validity():
     seven = get_example("seven_typed")["M"]
-    got = list(iter_included_rank3(seven))
+    got = enumerate_included_rank3(seven)
     assert len(got) == 12
     seen = set()
     for sub in got:
@@ -223,7 +222,7 @@ def test_profile_errors():
 def test_weak_minimality():
     mn = get_example("minimal")["M"]
     assert is_weak_minimal_rank3(mn)
-    assert next(iter_included_rank3(mn), None) is None
+    assert enumerate_included_rank3(mn) == []
     seven = get_example("seven_typed")["M"]
     assert not is_weak_minimal_rank3(seven)
     # binary implies weak-minimal, and the search finds nothing either
@@ -231,7 +230,7 @@ def test_weak_minimality():
     m2 = matroid_from_flat_constraints(g, 3, [("abc", 2), ("cde", 2)])
     assert m2.is_binary()
     assert is_weak_minimal_rank3(m2)
-    assert next(iter_included_rank3(m2), None) is None
+    assert enumerate_included_rank3(m2) == []
 
 
 def test_nonminimal_fixture():

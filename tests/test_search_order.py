@@ -1,14 +1,15 @@
-"""The rank-3 engine's search order, pinned by tests/golden/search_order.txt.
+"""The rank-3 inclusion pools, pinned by tests/golden/search_order.txt.
 
 Each line of the golden file is a label, a count and the sha256 of the
-key sequence of one search, in the order the search hands it out:
-`included LABEL` is iter_included_rank3 on a census class with at most
-six points, `n=N #I` for the I-th class with N points, or on a fixture
-matroid with at most ten elements that check_rank3_input accepts,
-keyed by sorted bases.
+key sequence of one pool, enumerate_included_rank3 in its sorted
+order: `included LABEL` on a census class with at most six points,
+`n=N #I` for the I-th class with N points, or on a fixture matroid with
+at most ten elements that check_rank3_input accepts, keyed by sorted
+bases.
 
-A change to the engine that keeps every stream keeps this file.  The
-file changes only with a stated reason; to regenerate it, run
+The pools are sorted by profile, so a change to the search that finds
+the same systems keeps this file.  The file changes only with a stated
+reason; to regenerate it, run
 `PYTHONPATH=src python tests/test_search_order.py --write`.
 """
 
@@ -19,7 +20,7 @@ import sys
 from matbase.census import census_rank3
 from matbase.errors import MatbaseError
 from matbase.examples import example_ids, get_example
-from matbase.order import iter_included_rank3
+from matbase.order import enumerate_included_rank3
 from matbase.rank3 import check_rank3_input
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
@@ -52,7 +53,7 @@ def search_order_lines():
              for i, m in enumerate(census_rank3(n))]
     cases += list(_fixtures())
     for label, m in cases:
-        keys = [tuple(sorted(mi.bases)) for mi in iter_included_rank3(m)]
+        keys = [tuple(sorted(mi.bases)) for mi in enumerate_included_rank3(m)]
         out.append(_line("included %s" % label, keys))
     return out
 
