@@ -113,7 +113,7 @@ def _matches(lines, key):
         support |= line
     full = (1 << len(lines)) - 1
     stack = [((support,), (0,), 0)]
-    seen = set()
+    visited = set()
     while stack:
         cells, los, used = stack.pop()
         if used == full:
@@ -128,8 +128,8 @@ def _matches(lines, key):
             if val == want:
                 refined, rlos = _refine(cells, line)
                 state = (refined, used | 1 << j)
-                if state not in seen:
-                    seen.add(state)
+                if state not in visited:
+                    visited.add(state)
                     stack.append((refined, rlos, state[1]))
     return False
 
@@ -185,7 +185,7 @@ def _orbit_lines(n, fam, finals, candidates):
         covered |= _pairs(n, old)
     first = finals[0]
     orbit_of = {}
-    seen = set()
+    orbits = set()
     out = []
     for line, pairs in candidates:
         if not pairs & covered:
@@ -196,8 +196,8 @@ def _orbit_lines(n, fam, finals, candidates):
                 orbit = orbit_of[counts] = (counts[0], min(
                     tuple((line & c).bit_count() for c in cells)
                     for cells in finals))
-            if orbit not in seen:
-                seen.add(orbit)
+            if orbit not in orbits:
+                orbits.add(orbit)
                 out.append(line)
     return out
 

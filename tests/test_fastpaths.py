@@ -1,18 +1,17 @@
 """Fast paths against their definitional twins in util: the bitset
-kernels, the engine's moves and its incremental normalization, the
-overlap merge and the census key on hypothesis-generated inputs, the
-face components and the facet table on every face of a small pool, the
-flats against the closure walk, the generic-rank facet table against a
-count of the minors' components, and facet duality, the rank-3 profile
-and facet rule and the half hyperplane scan on the census up to eight
-points, the face test of verify_decomposition
-against the ordered-partition recursion and the exchange edges, the
-census key on every family the census enumeration meets up to seven
-points, the profile connectivity and facet keys on every rank-3 system
-below small matroids, the inclusion search against those systems, the
-engine's run against the loop that stored every state it made, and its
-state key on wide masks, and the constrained inclusion search against
-the engine seeded with the first round of the forcing rules."""
+kernels, the dependent triples of a state and the cover check's line
+step, the overlap merge and the census key on hypothesis-generated
+inputs, the face components and the facet table on every face of a
+small pool, the flats against the closure walk, the generic-rank facet
+table against a count of the minors' components, and facet duality, the
+rank-3 profile and facet rule and the half hyperplane scan on the census
+up to eight points, the face test of verify_decomposition against the
+ordered-partition recursion and the exchange edges, the census key on
+every family the census enumeration meets up to seven points, the
+profile connectivity and facet keys on every rank-3 system below small
+matroids, the inclusion search against those systems, and the
+constrained inclusion search against the systems that meet the
+constraints by their definitions."""
 
 import functools
 import itertools
@@ -36,27 +35,26 @@ from matbase.facets import (base_facets, is_facet_defining_base,
                             is_facet_inequality)
 from matbase.matroid import (Matroid, _exchange_witness, merge_overlapping,
                              matroid_from_flat_constraints, uniform_matroid)
-from matbase.order import _included_profiles
-from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Engine,
-                           _state_key, check_rank3_input,
+from matbase.order import _included_profiles, _join_line
+from matbase.rank3 import (InclusionConstraints, Rank3Profile, _Triples,
+                           check_rank3_input,
                            facet_graph_components, facet_rank2_flats,
                            rank3_profile, search_profiles)
 from matbase.setfam import GroundSet, LinearConstraint, bits, ksubsets
 
-from util import (automorphisms, children, closure_by_rank, count_beams,
+from util import (automorphisms, closure_by_rank, count_beams,
                   exchange_witness_pairs,
                   face_components_by_minors, facet_inequality_by_report,
                   facet_reports_by_counting,
                   facet_rank2_flats_by_reports, flats_by_closure, ground,
-                  included_by_first_round, is_proper_face_by_levels,
+                  included_by_definition, is_proper_face_by_levels,
                   line_extensions, line_families_by_keys,
                   line_key_by_permutations,
-                  merge_by_union_find, moves_pairwise, normalize_cascade,
+                  merge_by_union_find, normalize_cascade,
                   pool_rank3, pool_small,
                   rank3_profile_by_flats, rank_brute, relabel_mask,
-                  run_by_fewest_picks, run_storing_every_state,
-                  scan_per_triple, split_families,
-                  systems_below, two_decompose_by_halves)
+                  split_families, systems_below, triple_dependent,
+                  two_decompose_by_halves)
 
 
 @st.composite
@@ -119,146 +117,80 @@ def test_exchange_error_carries_pair_loop_witness(case):
                                 g.labels[x])
 
 
-def random_engine_state(rng):
-    """An _Engine over a random ground with random mandatory triples,
-    also returned, and a (classes, lines) state on that ground: classes
-    partition it, lines are unions of at least three classes."""
+def random_state(rng):
+    """A (support, classes, lines) state on a random ground: classes
+    partition the support, lines are unions of at least three
+    classes."""
     n = rng.randint(4, 8)
     elems = sorted(rng.sample(range(n), rng.randint(3, n)))
     support = sum(1 << i for i in elems)
-    mandatory = {t for t in ksubsets(support, 3) if rng.random() < 0.3}
     by_tag = {}
     for i in elems:
         tag = rng.randrange(2 * len(elems))
         by_tag[tag] = by_tag.get(tag, 0) | 1 << i
-    classes = sorted(by_tag.values())
+    classes = tuple(sorted(by_tag.values()))
     lines = []
     if len(classes) >= 3:
         for _ in range(rng.randint(0, 3)):
             lines.append(sum(rng.sample(classes, rng.choice(
                 [3, 3, rng.randint(3, len(classes))]))))
-    engine = _Engine(support, mandatory)
-    return engine, mandatory, tuple(classes), tuple(sorted(lines))
+    return support, classes, tuple(sorted(lines))
 
 
 @st.composite
-def engine_states(draw):
-    """random_engine_state from one seeded Random, whose draws, unlike
+def states(draw):
+    """random_state from one seeded Random, whose draws, unlike
     hypothesis's own, do not lean to empty or full sets."""
-    return random_engine_state(draw(st.randoms(use_true_random=True)))
+    return random_state(draw(st.randoms(use_true_random=True)))
 
 
-@given(engine_states())
-def test_scan_matches_per_triple_loop(case):
-    engine, mandatory, classes, lines = case
-    assert engine.tri.masks_of(engine._scan(classes, lines)) == (
-        scan_per_triple(engine.support, mandatory, classes, lines))
+@given(states())
+def test_dependent_triples_match_per_triple_loop(case):
+    # the memoized bitsets of _Triples against each triple on its own
+    support, classes, lines = case
+    cls_of = {i: c for c in classes for i in bits(c)}
+    tri = _Triples(support)
+    assert tri.masks_of(tri.dependent(classes, lines)) == [
+        t for t in ksubsets(support, 3)
+        if triple_dependent(t, cls_of, lines)]
 
 
-@given(engine_states())
-def test_moves_match_pairwise_rules(case):
-    # the grow moves, and the moves covering each uncovered triple
-    engine, _, classes, lines = case
-    assert children(classes, lines, engine._picks(
-        lines, classes)) == moves_pairwise(classes, lines)
-    for t in engine.tri.masks_of(engine._scan(classes, lines)):
-        group = [c for c in classes if c & t]
-        assert children(classes, lines, engine._picks(
-            lines, group)) == moves_pairwise(classes, lines, t)
-
-
-@given(engine_states())
-def test_uncovered_triples_have_four_moves(case):
-    # an uncovered triple meets three classes a < b < c and no line
-    # holds a | b | c, so its moves are the three merges and the line,
-    # and run() may take the first uncovered triple
-    engine, _, classes, lines = case
-    for t in engine.tri.masks_of(engine._scan(classes, lines)):
-        a, b, c = [k for k in classes if k & t]
-        assert engine._picks(lines, [a, b, c]) == [(a, b), (a, c), (b, c),
-                                                    a | b | c]
-
-
-def test_run_matches_fewest_picks_twin():
-    # small random engines, from their drawn classes or from singletons,
-    # half the time guarding random certified flats: the same stream of
-    # states
-    yielded = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        engine, mandatory, classes, _ = random_engine_state(rng)
-        support = engine.support
-        if rng.random() < 0.5:
-            classes = [1 << i for i in bits(support)]
-        certs = random_certs(list(bits(support)), rng)
-        engine = _Engine(support, mandatory, *certs)
-        got = list(engine.run(classes))
-        assert got == list(run_by_fewest_picks(engine, classes))
-        yielded += len(got)
-    assert yielded > 0
-
-
-def random_certs(elems, rng):
-    """(cert1, cert2): half the time up to one random certified flat of
-    rank 1 and up to two of rank 2 over the elements, else none."""
-    cert1 = cert2 = ()
-    if rng.random() < 0.5:
-        cert1 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
-            1, 2))) for _ in range(rng.randint(0, 1)))
-        cert2 = tuple(sum(1 << i for i in rng.sample(elems, rng.randint(
-            2, len(elems)))) for _ in range(rng.randint(0, 2)))
-    return cert1, cert2
-
-
-def child_inputs(case, rng):
-    """(engine, parent, pick) for the drawn state normalized by the
-    cascade, if it lives, and each of its picks, over all classes and
-    over the classes each mandatory triple meets.  Half the
-    time the engine also guards random certified flats."""
-    engine, mandatory, classes, lines = case
-    support = engine.support
-    engine = _Engine(support, mandatory,
-                     *random_certs(list(bits(support)), rng))
-    parent = normalize_cascade(engine, classes, lines)
+def line_joins(case):
+    """(support, parent, line) for the drawn state normalized by the
+    cascade, if it lives, and each line through three of its classes
+    that no line holds."""
+    support, classes, lines = case
+    parent = normalize_cascade(support, classes, lines)
     if parent is None:
         return
-    groups = [parent[0]] + [[c for c in parent[0] if c & t]
-                            for t in sorted(mandatory)]
-    for group in groups:
-        for pick in engine._picks(parent[1], group):
-            yield engine, parent, pick
+    for pick in itertools.combinations(parent[0], 3):
+        line = sum(pick)
+        if all(line & ~l for l in parent[1]):
+            yield support, parent, line
 
 
-@given(engine_states(), st.randoms(use_true_random=True))
-def test_child_matches_cascade(case, rng):
-    for engine, (classes, lines), pick in child_inputs(case, rng):
-        assert engine._child(classes, lines, pick) == normalize_cascade(
-            engine, *children(classes, lines, [pick])[0])
+@given(states())
+def test_child_matches_cascade(case):
+    for support, (classes, lines), line in line_joins(case):
+        assert _join_line(support, classes, lines, line) == (
+            normalize_cascade(support, classes, lines + (line,)))
 
 
-def test_child_matches_cascade_dead_dropped_and_merged():
+def test_child_matches_cascade_dead_and_merged():
     # the same comparison over fixed seeds, which must meet children
-    # dead with all classes on one line, merges that leave a line two
-    # classes, and children whose lines merge at least twice
-    dead = dropped = merged = 0
+    # dead with all classes on one line, and children whose new line
+    # absorbs two or more lines
+    dead = merged = 0
     for seed in range(150):
-        rng = random.Random(seed)
-        case = random_engine_state(rng)
-        for engine, (classes, lines), pick in child_inputs(case, rng):
-            kid = children(classes, lines, [pick])[0]
-            got = engine._child(classes, lines, pick)
-            assert got == normalize_cascade(engine, *kid)
-            unguarded = normalize_cascade(_Engine(engine.support, ()), *kid)
-            dead += len(kid[0]) >= 3 and unguarded is None
-            drop = 0
-            if isinstance(pick, tuple):
-                c = pick[0] | pick[1]
-                drop = sum(l & c == c and l & ~c in kid[0] for l in lines)
-            dropped += drop
-            if unguarded is not None:
-                merges = len(kid[1]) - drop - len(unguarded[1])
-                merged += merges >= 2
-    assert dead and dropped and merged
+        case = random_state(random.Random(seed))
+        for support, (classes, lines), line in line_joins(case):
+            got = _join_line(support, classes, lines, line)
+            assert got == normalize_cascade(support, classes,
+                                            lines + (line,))
+            dead += got is None
+            merged += got is not None and len(lines) + 1 - len(got[1]) >= 2
+    assert dead and merged
+
 
 
 def test_closure_matches_rank_definition_on_pool():
@@ -326,7 +258,7 @@ def test_classify_tests_each_facet_once(monkeypatch):
     # the facet table is built at most once per matroid object, and a
     # pool matroid reads it off the profile it came from, not its flats
     builds = Counter()
-    alive = []  # every matroid seen stays alive, so no id is reused
+    alive = []  # every matroid met stays alive, so no id is reused
     pool = []
     build, make = facets._build_facet_table, Rank3Profile.matroid
 
@@ -703,13 +635,13 @@ def test_orbit_lines_match_automorphisms():
         for fam in iter_line_families(n):
             auts = automorphisms(n, fam)
             want = []
-            seen = set()
+            covered = set()
             for line, _ in candidates:
-                if line not in seen and all(
+                if line not in covered and all(
                         (line & old).bit_count() <= 1 for old in fam):
                     # candidates ascend: the first line met of an orbit
                     # is its least
-                    seen.update(relabel_mask(line, p) for p in auts)
+                    covered.update(relabel_mask(line, p) for p in auts)
                     want.append(line)
             assert _orbit_lines(n, fam, _beam(fam)[1], candidates) == want
             cases += 1
@@ -794,13 +726,13 @@ def walked_profiles():
 
 
 def test_profile_connectivity_matches_matroid():
-    seen = disconnected = 0
+    total = disconnected = 0
     for profile, mat in walked_profiles():
         connected = profile.is_connected()
         assert connected == mat.is_connected()
-        seen += 1
+        total += 1
         disconnected += not connected
-    assert 0 < disconnected < seen
+    assert 0 < disconnected < total
 
 
 def test_profile_facet_keys_match_matroid():
@@ -871,111 +803,6 @@ def test_pruned_search_matches_filtered_on_line_families(case):
     pruned_matches_filtered(matroid_of_lines(*case))
 
 
-def engine_runs(m, constraints=None):
-    """(engine, seed classes) of each _Engine run that
-    search_profiles(m, constraints) makes, read by wrapping run."""
-    runs = []
-    run = _Engine.run
-
-    def recorded(self, seed_classes):
-        runs.append((self, list(seed_classes)))
-        return run(self, seed_classes)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Engine, "run", recorded)
-        list(search_profiles(m, constraints))
-    return runs
-
-
-def run_matches_full_state_twin(m, constraints=None):
-    """Each engine run of search_profiles(m, constraints) against
-    run_storing_every_state: the same states in the same order, and as
-    many pushes as the engine pops, one _scan each.  Returns the number
-    of runs and of states yielded."""
-    runs = engine_runs(m, constraints)
-    yielded = 0
-    for engine, seed in runs:
-        counts = Counter()
-        scan = engine._scan
-
-        def counted_scan(classes, lines):
-            counts["popped"] += 1
-            return scan(classes, lines)
-
-        engine._scan = counted_scan
-        got = list(engine.run(seed))
-        del engine._scan
-        assert got == list(run_storing_every_state(engine, seed, counts))
-        assert counts["popped"] == counts["pushed"]
-        yielded += len(got)
-    return len(runs), yielded
-
-
-def test_run_matches_full_state_twin_on_census_and_fixtures():
-    # every census class up to seven points but the two with at most one
-    # dependent triple, and every fixture on at most eleven points that
-    # check_rank3_input accepts, lucascon M1 among them
-    pool = (list(filter(cheap_to_search, CENSUS_TO_7))
-            + list(rank3_fixtures(11)))
-    assert get_example("lucascon")["M1"] in pool
-    runs = yielded = 0
-    for m in pool:
-        r, y = run_matches_full_state_twin(m)
-        runs += r
-        yielded += y
-    assert runs == len(pool) and yielded > 5000
-
-
-def test_run_matches_full_state_twin_with_certified_flats():
-    # constrained runs on seven_typed M: each pair as a required rank-1
-    # facet and each triple as a required rank-2 facet, alone and with
-    # the first two points outside it forced to rank 1.  Each engine
-    # guards a certified flat, so _guards_ok runs on every child
-    m = get_example("seven_typed")["M"]
-    g = m.ground
-    runs = yielded = 0
-    for k in (2, 3):
-        for a in ksubsets(g.full_mask, k):
-            required = (LinearConstraint(g, a, "<=", k - 1),)
-            first, second = list(bits(g.full_mask & ~a))[:2]
-            for forced in ((), (1 << first | 1 << second,)):
-                cons = InclusionConstraints(forced_rank1=forced,
-                                            require_facet=required)
-                r, y = run_matches_full_state_twin(m, cons)
-                runs += r
-                yielded += y
-    assert runs > 50 and yielded > 10
-
-
-def test_state_key_is_injective_on_wide_masks():
-    # states on supports of 17 to 64 points, whose masks reach 2^16 and
-    # above: the key is read back field by field into the state's masks,
-    # so distinct states get distinct keys, also those a 16-bit field
-    # or a key without the lines would fold together
-    rng = random.Random(0)
-    for n in (17, 33, 64):
-        support = (1 << n) - 1
-        keys = {}
-        for _ in range(200):
-            by_tag = {}
-            tags = rng.choice((3, 6, n))
-            for i in range(n):
-                tag = rng.randrange(tags)
-                by_tag[tag] = by_tag.get(tag, 0) | 1 << i
-            classes = tuple(sorted(by_tag.values()))
-            lines = ()
-            if len(classes) >= 3:
-                lines = tuple(sorted({sum(rng.sample(classes, 3))
-                                      for _ in range(rng.randint(0, 3))}))
-            masks = classes + lines
-            key = _state_key(n, classes, lines)
-            assert [key >> n * k & support
-                    for k in reversed(range(len(masks)))] == list(masks)
-            assert key.bit_length() > n * (len(masks) - 1)
-            assert keys.setdefault(key, (classes, lines)) == (classes, lines)
-        assert len(keys) > 150
-
-
 def random_inclusion_constraints(g, rng):
     """Seeded mixed constraints on the ground g with at least one forced
     set or required facet: forced rank-1 sets of 1 to 3 elements, forced
@@ -999,12 +826,9 @@ def random_inclusion_constraints(g, rng):
                                 require_facet=tuple(rf))
 
 
-def test_included_search_matches_first_round_seeding():
-    # the search seeded from propagate's closure against the engine
-    # seeded with the first round of the forcing rules alone: the same
-    # systems.  The closure can merge more classes at the start (a
-    # promoted rank-2 flat, two certified flats meeting), which starts
-    # the engine from another state, so the order may differ
+def test_constrained_search_matches_filtered_twin():
+    # the search seeded from propagate's closure against the systems
+    # below m that meet the constraints by their definitions
     cases = found = 0
     pool = [m for m in CENSUS_TO_7 if m.ground.n <= 6]
     for k, m in enumerate(pool + [get_example("seven_typed")["M"]]):
@@ -1012,9 +836,8 @@ def test_included_search_matches_first_round_seeding():
         for _ in range(16):
             cons = random_inclusion_constraints(m.ground, rng)
             got = [p.key() for p in _included_profiles(m, cons)]
-            want = [p.key() for p in included_by_first_round(m, cons)]
             assert len(set(got)) == len(got)
-            assert sorted(got) == sorted(want)
+            assert set(got) == included_by_definition(m, cons)
             cases += 1
             found += bool(got)
     assert cases == 208 and found >= 20

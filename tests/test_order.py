@@ -7,7 +7,6 @@ import tracemalloc
 import pytest
 
 from matbase.census import census_rank3
-from matbase.decomp import classify
 from matbase.errors import (ConstraintError, GroundMismatchError, LoopError,
                             RankError)
 from matbase.examples import get_example
@@ -16,13 +15,15 @@ from matbase.matroid import (matroid_from_bases, matroid_from_flat_constraints,
                              uniform_matroid)
 from matbase.order import (enumerate_included_rank3, is_weak_minimal_rank3,
                            no_strict_intermediate_rank3, weak_leq)
-from matbase.rank3 import (InclusionConstraints, facet_rank2_flats,
-                           propagate, rank3_profile, search_profiles)
+from matbase.rank3 import (InclusionConstraints, Rank3Profile,
+                           facet_rank2_flats, propagate, rank3_profile,
+                           search_profiles)
 from matbase.setfam import (GroundSet, LinearConstraint, bits, ksubsets,
                             submasks)
 
 from util import (count_searches, dependent_bits, exchange_ok_brute, ground,
-                  pool_rank3, pool_small, systems_below, weak_leq_by_ranks)
+                  pool_rank3, pool_small, systems_below,
+                  systems_below_by_partitions, weak_leq_by_ranks)
 
 
 def test_weak_leq_basics():
@@ -82,18 +83,18 @@ def test_enumerator_stream_validity():
     seven = get_example("seven_typed")["M"]
     got = enumerate_included_rank3(seven)
     assert len(got) == 12
-    seen = set()
+    keys = set()
     for sub in got:
         assert sub.ground == seven.ground and sub.rank == 3
         assert sub.is_connected() and not sub.loops()
         assert weak_leq(sub, seven)
         assert sub.bases != seven.bases
         key = frozenset(sub.bases.masks)
-        assert key not in seen
-        seen.add(key)
+        assert key not in keys
+        keys.add(key)
     # the displayed included system is among them
     m1 = get_example("seven_typed")["M1"]
-    assert frozenset(m1.bases.masks) in seen
+    assert frozenset(m1.bases.masks) in keys
 
 
 def test_enumerator_respects_constraints():
@@ -241,9 +242,10 @@ def test_nonminimal_fixture():
 
 
 def test_inclusion_search_memory_stays_small():
-    # the search below nonminimal M keeps one int key per pushed state:
-    # its traced peak is about 0.25 MB, and 0.8 MB when seen kept every
-    # state made, as (classes, lines) tuples
+    # the search below nonminimal M holds one root-to-leaf path of
+    # states; its traced peak was 0.25 MB when the search kept one int
+    # key per state it had pushed, and 0.8 MB when it kept every state
+    # it made
     m = get_example("nonminimal")["M"]
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -376,14 +378,10 @@ def test_cover_check_matches_twin():
     assert pairs > 12000 and 2 * looped > pairs and 0 < covers < pairs
 
 
-class MissedSystems(Exception):
-    """Valid included systems that enumerate_included_rank3 lacks."""
-
-
 # connected systems properly included in census_rank3(8) classes, as
-# (non-singleton classes, long lines), that the inclusion search misses:
-# each merges classes after a line through them was joined to another
-SEARCH_GAP = {
+# (non-singleton classes, long lines), that a search joining lines
+# before it merges their classes misses
+MERGED_CLASSES = {
     50: [(["fgh"], ["abc", "ade", "bdfgh", "cefgh"]),
          (["ace", "fh"], ["bdfh", "acefgh"]),
          (["abd", "gh"], ["cegh", "abdfgh"])],
@@ -398,46 +396,51 @@ SEARCH_GAP = {
 }
 
 
-@pytest.mark.parametrize("idx", [
-    pytest.param(idx, marks=pytest.mark.xfail(
-        raises=MissedSystems, strict=True,
-        reason="the search joins lines before it merges their classes"))
-    for idx in sorted(SEARCH_GAP)])
-def test_inclusion_search_misses_merged_classes(idx):
-    check_search_finds(census_rank3(8)[idx], SEARCH_GAP[idx])
+@pytest.mark.parametrize("idx", sorted(MERGED_CLASSES))
+def test_inclusion_search_finds_merged_classes(idx):
+    check_search_finds(census_rank3(8)[idx], MERGED_CLASSES[idx])
 
 
-# the same gap on the paper's own 11-point matroid: 105 connected
-# systems lie properly below lucascon M1, and the search finds 102
-LUCASCON_GAP = [
+# the same systems on the paper's own 11-point matroid: 105 connected
+# systems lie properly below lucascon M1
+LUCASCON_MERGED = [
     (["ace", "dgi", "bj"], ["acdefgi", "bdghij", "fhk", "abcejk"]),
     (["bh", "gi", "acefk"], ["bghij", "acdefgik"]),
     (["fh", "cj", "bdeik"], ["cfghj", "abdefhik"]),
 ]
 
 
-@pytest.mark.xfail(raises=MissedSystems, strict=True,
-                   reason="the search joins lines before it merges their "
-                          "classes")
-def test_inclusion_search_misses_systems_below_lucascon():
+def test_inclusion_search_finds_systems_below_lucascon():
     m = get_example("lucascon")["M1"]
     assert m.ground == ground(11)
-    assert classify(m).kind == "c"
-    check_search_finds(m, LUCASCON_GAP)
+    assert len(check_search_finds(m, LUCASCON_MERGED)) == 105
 
 
 def check_search_finds(m, subs):
     """Build each (classes, lines) of subs on the ground of m, check that
-    it is a connected system properly below m, and raise MissedSystems
-    unless enumerate_included_rank3(m) returns all of them."""
-    missed = [system(m.ground.n, *sub) for sub in subs]
-    for sub in missed:
+    it is a connected system properly below m and that
+    enumerate_included_rank3(m) returns it; returns that list."""
+    found = enumerate_included_rank3(m)
+    masks = {sub.bases.masks for sub in found}
+    for sub in (system(m.ground.n, *sub) for sub in subs):
         assert exchange_ok_brute(sub.bases.masks) and sub.is_connected()
         assert set(sub.bases.masks) < set(m.bases.masks)
-    found = {sub.bases.masks for sub in enumerate_included_rank3(m)}
-    lost = [sub for sub in missed if sub.bases.masks not in found]
-    if lost:
-        raise MissedSystems("%d of %d" % (len(lost), len(missed)))
+        assert sub.bases.masks in masks
+    return found
+
+
+@pytest.mark.parametrize("n, idx", [(8, 50), (8, 51), (8, 57), (8, 59),
+                                    (9, 261)])
+def test_search_matches_partition_twin(n, idx):
+    # the search against the twin that lists every set partition, as
+    # sets of connected systems; each of these classes has systems that
+    # are reached only by merging classes after a line through them
+    m = census_rank3(n)[idx]
+    want = {s for s in systems_below_by_partitions(m)
+            if Rank3Profile(m.ground, *s).is_connected()}
+    got = [p.key() for p in search_profiles(m)]
+    assert len(set(got)) == len(got)
+    assert set(got) == want
 
 
 def test_required_original_facet_skips_the_engine(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from matbase.errors import ConstraintError, FormatError, GroundMismatchError
 from matbase.facets import is_facet_defining_base
-from matbase.matroid import uniform_matroid
+from matbase.matroid import Matroid, uniform_matroid
 from matbase.rank3 import InclusionConstraints
 from matbase.setfam import (ElementSet, GroundSet, LinearConstraint,
                             SetFamily, bits, family_from_constraints,
@@ -252,3 +252,16 @@ def test_set_family_membership_reads_sets():
                 "az", [["a"]], None):
         with pytest.raises(GroundMismatchError):
             bad in m.bases
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", "ab", None, -1, 8])
+def test_set_family_members_are_plain_ints(bad):
+    # each member is a mask, a plain int within the ground: True, 1.0 and
+    # "1" used to be read as {a}, so [bad, 2, 4] built U(1,3), and "ab"
+    # raised a bare ValueError
+    g = GroundSet("abc")
+    with pytest.raises(GroundMismatchError):
+        SetFamily(g, [bad, 2, 4])
+    with pytest.raises(GroundMismatchError):
+        Matroid(g, [bad, 2, 4])
+    assert SetFamily(g, [4, 1, 2, 1]).masks == (1, 2, 4)

@@ -2,9 +2,8 @@
 
 Everything here recomputes answers from definitions, independently of
 the library's own algorithms, so tests can compare the two.
-count_searches counts the rank-3 engine runs and matroid builds,
-count_engine_steps the engine's pops, move lists and connectivity
-tests, and count_beams the census's full canonical-key beams.
+count_searches counts the rank-3 inclusion searches and matroid builds,
+and count_beams the census's full canonical-key beams.
 """
 
 import functools
@@ -17,10 +16,8 @@ from matbase.census import _candidate_lines, canonical_key, census_rank3
 from matbase.decomp import three_partitions
 from matbase.errors import (EmptyFamilyError, ExchangeAxiomError,
                             MixedCardinalityError)
-from matbase.facets import (FacetReport, is_facet_defining_base,
-                            is_facet_inequality)
-from matbase.matroid import (matroid_from_bases, merge_overlapping,
-                             uniform_matroid)
+from matbase.facets import FacetReport, is_facet_defining_base
+from matbase.matroid import matroid_from_bases, uniform_matroid
 from matbase.setfam import ElementSet, GroundSet, bits, ksubsets, submasks
 
 LETTERS = "abcdefghijkl"
@@ -132,14 +129,15 @@ def triple_dependent(t, cls_of, lines):
     return any(t & ~l == 0 for l in lines)
 
 
-@functools.lru_cache(maxsize=None)
-def linear_spaces(k):
-    """Every linear space of rank 3 on the points 0..k-1, as the sorted
-    tuple of its lines of three or more points, each a bitmask: every
-    pair of points lies on exactly one line, and not all points lie on
-    one.  The line through the first pair no line holds yet is chosen
-    among all sets of points whose pairs no line holds, so each space is
-    listed once.  There are 1, 5, 31, 352 and 8,389 for k = 3..7."""
+def linear_spaces_above(k, fixed):
+    """Every linear space of rank 3 on the points 0..k-1 in which each
+    mask of fixed lies inside a line, as the sorted tuple of its lines of
+    three or more points, each a bitmask: every pair of points lies on
+    exactly one line, and not all points lie on one.  The lines are
+    added one at a time: the line through the first pair no line holds
+    yet is chosen among all sets of points whose pairs no line holds,
+    and meets each fixed mask in at most one point or holds it, so each
+    space is listed once."""
     out = []
 
     def extend(open_pairs, lines):
@@ -154,11 +152,20 @@ def linear_spaces(k):
             for extra in itertools.combinations(cands, r):
                 line = pair | sum(1 << x for x in extra)
                 pairs = set(ksubsets(line, 2))
-                if pairs <= open_pairs:
+                if pairs <= open_pairs and all(
+                        (line & f).bit_count() < 2 or not f & ~line
+                        for f in fixed):
                     extend(open_pairs - pairs, lines + [line] * bool(extra))
 
     extend(frozenset(ksubsets((1 << k) - 1, 2)), [])
-    return tuple(sp for sp in out if sp != ((1 << k) - 1,))
+    return [sp for sp in out if sp != ((1 << k) - 1,)]
+
+
+@functools.lru_cache(maxsize=None)
+def linear_spaces(k):
+    """linear_spaces_above with nothing fixed, as a tuple: there are 1,
+    5, 31, 352 and 8,389 for k = 3..7."""
+    return tuple(linear_spaces_above(k, ()))
 
 
 def set_partitions(elems):
@@ -225,211 +232,95 @@ def systems_below(m, loops):
             if s[2] & dep_m == dep_m]
 
 
-def scan_per_triple(support, mandatory, classes, lines):
-    """The uncovered mandatory triples of an _Engine state by testing
-    every 3-subset of the support on its own; the twin of
-    _Engine._scan."""
-    cls_of = {i: c for c in classes for i in bits(c)}
-    return [t for t in ksubsets(support, 3)
-            if t in mandatory and not triple_dependent(t, cls_of, lines)]
-
-
-def normalize_cascade(engine, classes, lines):
-    """An _Engine state normalized by the cascade, or None when dead:
-    lines absorb every class they meet, lines meeting <= 2 classes are
-    dropped, and two lines sharing >= 2 whole classes are merged, over
-    and over until nothing changes.  The twin of _Engine._child."""
-    classes = list(classes)
+def normalize_cascade(support, classes, lines):
+    """A (classes, lines) state, each line a union of three or more
+    classes, with two lines that share two or more whole classes merged,
+    over and over until no two do; None when dead: fewer than three
+    classes, or a line holding the whole support.  The twin of
+    order._join_line."""
     lines = list(lines)
-    while True:
-        changed = False
-        for idx, l in enumerate(lines):
-            for c in classes:
-                if c & l and c & ~l:
-                    lines[idx] = l = l | c
-                    changed = True
-        kept = [l for l in lines if sum(1 for c in classes if c & l) >= 3]
-        if len(kept) != len(lines):
-            changed = True
-        lines = kept
-        merged = True
-        while merged:
-            merged = False
-            for a in range(len(lines)):
-                for b in range(a + 1, len(lines)):
-                    common = lines[a] & lines[b]
-                    if sum(1 for c in classes if c & common == c) >= 2:
-                        lines[a] |= lines[b]
-                        del lines[b]
-                        merged = changed = True
-                        break
-                if merged:
-                    break
-        if not changed:
-            break
-    if len(classes) < 3 or engine.support in lines:
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(lines)), 2):
+            common = lines[a] & lines[b]
+            if sum(1 for c in classes if c & common == c) >= 2:
+                lines[a] |= lines.pop(b)
+                merged = True
+                break
+    if len(classes) < 3 or support in lines:
         return None
-    if not engine._guards_ok(classes, lines):
-        return None
-    return tuple(sorted(classes)), tuple(sorted(lines))
+    return tuple(classes), tuple(sorted(lines))
 
 
-def run_by_fewest_picks(engine, seed_classes):
-    """The states an _Engine yields from the seed classes, by the rule
-    it had before it took the first uncovered triple: each uncovered
-    triple's moves are built and the first with the fewest kept, and a
-    state is tested for connectivity when it is popped, not before it is
-    pushed.  The twin of _Engine.run."""
-    start = (tuple(sorted(seed_classes)), ())
-    if len(start[0]) < 3 or not engine._guards_ok(*start):
-        return
-    seen = {start}
-    stack = [start]
-    while stack:
-        classes, lines = stack.pop()
-        if not rank3._connected(engine.support, engine.support, classes,
-                                lines):
-            continue
-        uncovered = engine._scan(classes, lines)
-        if uncovered:
-            picks = None
-            for t in engine.tri.masks_of(uncovered):
-                moves = engine._picks(lines, [c for c in classes if c & t])
-                if picks is None or len(moves) < len(picks):
-                    picks = moves
-        else:
-            yield classes, lines
-            picks = engine._picks(lines, classes)
-        for pick in picks:
-            state = engine._child(classes, lines, pick)
-            if state is not None and state not in seen:
-                seen.add(state)
-                stack.append(state)
-
-
-def run_storing_every_state(engine, seed_classes, counts):
-    """The states an _Engine yields from the seed classes, by the loop it
-    had before seen held packed keys: seen holds every new state as its
-    (classes, lines) tuples, a disconnected one too, which is stored but
-    not pushed.  counts["pushed"] counts the states pushed, the start
-    state included.  The twin of _Engine.run."""
-    start = (tuple(sorted(seed_classes)), ())
-    full = engine.support
-    if (len(start[0]) < 3 or not engine._guards_ok(*start)
-            or not rank3._connected(full, full, *start)):
-        return
-    seen = {start}
-    stack = [start]
-    counts["pushed"] += 1
-    while stack:
-        classes, lines = stack.pop()
-        uncovered = engine._scan(classes, lines)
-        if uncovered:
-            t = engine.tri.masks[(uncovered & -uncovered).bit_length() - 1]
-            picks = engine._picks(lines, [c for c in classes if c & t])
-        else:
-            yield classes, lines
-            picks = engine._picks(lines, classes)
-        for pick in picks:
-            state = engine._child(classes, lines, pick)
-            if state is not None and state not in seen:
-                seen.add(state)
-                if rank3._connected(full, full, *state):
-                    stack.append(state)
-                    counts["pushed"] += 1
-
-
-def included_by_first_round(m, constraints):
-    """The profiles iter_included_rank3(m, constraints) yields, in search
-    order, by an engine seeded with the first round of the forcing rules
-    alone: the forced rank-1 sets and the components of g(E-Z, Z) for
-    each required rank-2 facet Z join the seed classes, and the triples
-    of each forced rank-2 set, of each Z and of A | C for each component
-    C of g(A, E-A) of each required rank-1 facet A must be dependent.
-    Each require_facet entry is decided by a fresh facet report on the
-    profile's matroid.  The twin of rank3.search_profiles seeded from
-    propagate's closure; the constraints must fit the ground of m."""
-    rank3.check_rank3_input(m)
-    own = rank3.rank3_profile(m)
+def systems_below_by_partitions(m):
+    """The (classes, lines) of every loopless rank-3 system on the ground
+    of a rank-3 m whose bases all are bases of m, each once, connected
+    or not.  For every set partition of the ground into three or more
+    classes: the least line set that makes every non-base of m
+    dependent, adding the line through the classes of an independent one
+    at a time (lines that share two classes merge, normalize_cascade),
+    then every linear space on the classes that holds each of those
+    lines, its lines added one at a time (linear_spaces_above).  No
+    search of the library is involved; the definitional twin of
+    rank3.search_profiles, which keeps the connected ones."""
     full = m.ground.full_mask
-    if any(is_facet_inequality(m, c.support, c.bound)
-           or c.bound == 2 and c.support.bit_count() < 3
-           for c in constraints.require_facet):
-        return
-    groups = [1 << i for i in bits(full)] + list(constraints.forced_rank1)
-    mandatory = {t for t in ksubsets(full, 3) if t not in m.bases}
-    for a in constraints.forced_rank2:
-        mandatory.update(ksubsets(a, 3))
-    cert1, cert2 = [], []
-    for c in constraints.require_facet:
-        a = c.support
-        if c.bound == 1:
-            cert1.append(a)
-            groups.append(a)
-            comps, _ = rank3.facet_graph_components(m, a, full & ~a)
-            for comp in comps:
-                mandatory.update(ksubsets(a | comp, 3))
-        else:
-            cert2.append(a)
-            mandatory.update(ksubsets(a, 3))
-            comps, _ = rank3.facet_graph_components(m, full & ~a, a)
-            groups.extend(comps)
-    seed = [c for c in merge_overlapping(groups) if c]
-    engine = rank3._Engine(full, mandatory, cert1, cert2)
-    for classes, lines in engine.run(seed):
-        profile = rank3.Rank3Profile(m.ground, classes, lines)
-        if profile == own:
-            continue
-        mat = profile.matroid()
-        if all(facet_inequality_by_report(mat, c.support, c.bound)
-               for c in constraints.require_facet):
-            yield profile
-
-
-def children(classes, lines, picks):
-    """The unnormalized child of an _Engine state for each of its picks:
-    a merge of classes a and b puts a | b last, a new line goes last."""
-    out = []
-    for pick in picks:
-        if isinstance(pick, tuple):
-            a, b = pick
-            out.append(([c for c in classes if c != a and c != b]
-                        + [a | b], list(lines)))
-        else:
-            out.append((list(classes), list(lines) + [pick]))
-    return out
-
-
-def moves_pairwise(classes, lines, t=None):
-    """Children of an _Engine state by the pairwise rules: every merge of
-    two classes, and every line through three classes that no line
-    holds.  With a triple t, the moves of the three classes it meets, as
-    the cover phase made them; without, every grow move.  The twin of
-    the children of _Engine._picks."""
-    out = []
-    if t is not None:
+    nonbases = [t for t in ksubsets(full, 3) if t not in m.bases]
+    out = set()
+    for part in set_partitions(list(bits(full))):
+        classes = tuple(sorted(part))
         cls_of = {i: c for c in classes for i in bits(c)}
-        i, j, k = bits(t)
-        cs = sorted({cls_of[i], cls_of[j], cls_of[k]})
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                nc = [c for c in classes if c not in (cs[a], cs[b])]
-                nc.append(cs[a] | cs[b])
-                out.append((nc, list(lines)))
-        if len(cs) == 3:
-            out.append((list(classes), list(lines) + [cs[0] | cs[1] | cs[2]]))
-        return out
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            nc = [c for x, c in enumerate(classes) if x not in (a, b)]
-            nc.append(classes[a] | classes[b])
-            out.append((nc, list(lines)))
-    for cm in ksubsets((1 << len(classes)) - 1, 3):
-        pick = [classes[x] for x in bits(cm)]
-        lmask = pick[0] | pick[1] | pick[2]
-        if not any(lmask & ~l == 0 for l in lines):
-            out.append((list(classes), list(lines) + [lmask]))
+        state = normalize_cascade(full, classes, ())
+        while state is not None:
+            t = next((t for t in nonbases
+                      if not triple_dependent(t, cls_of, state[1])), None)
+            if t is None:
+                break
+            line = sum(c for c in classes if c & t)
+            state = normalize_cascade(full, classes, state[1] + (line,))
+        if state is None:
+            continue
+        fixed = [sum(1 << x for x, c in enumerate(classes) if c & l)
+                 for l in state[1]]
+        for space in linear_spaces_above(len(classes), fixed):
+            out.add((classes, tuple(sorted(
+                sum(classes[x] for x in bits(l)) for l in space))))
     return out
+
+
+def included_by_definition(m, constraints):
+    """The profile keys of the connected systems properly below m that
+    meet the constraints by their definitions: in the system's matroid
+    each forced rank-1 set has rank 1 and each forced rank-2 set rank at
+    most 2, and each required (A, k)<= is a facet by a fresh facet
+    report, which it is not for m.  The twin of the constrained
+    order._included_profiles, which starts from the closure of the
+    constraints under rank3.propagate."""
+    if any(facet_inequality_by_report(m, c.support, c.bound)
+           for c in constraints.require_facet):
+        return set()
+    out = set()
+    for profile, sub in connected_below(m):
+        if (all(sub.rank_of(a) == 1 for a in constraints.forced_rank1)
+                and all(sub.rank_of(a) <= 2
+                        for a in constraints.forced_rank2)
+                and all(facet_inequality_by_report(sub, c.support, c.bound)
+                        for c in constraints.require_facet)):
+            out.add(profile.key())
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def connected_below(m):
+    """(profile, matroid) of each connected system properly below m, as
+    rank3_systems lists them."""
+    own = dependent_bits(m)
+    out = []
+    for classes, lines, dep in systems_below(m, 0):
+        profile = rank3.Rank3Profile(m.ground, classes, lines)
+        if dep != own and profile.is_connected():
+            out.append((profile, profile.matroid()))
+    return tuple(out)
 
 
 def face_components_by_minors(m, amask):
@@ -507,14 +398,14 @@ def face_by_levels(piece, target):
     ground, so this recurses over them, maximizing |B & level| level by
     level."""
     full = piece.ground.full_mask
-    seen = set()
+    visited = set()
 
     def rec(cands, remaining):
         if cands == target:
             return True
-        if not remaining or not (target <= cands) or (cands, remaining) in seen:
+        if not remaining or not (target <= cands) or (cands, remaining) in visited:
             return False
-        seen.add((cands, remaining))
+        visited.add((cands, remaining))
         sub = remaining
         while True:
             sub = (sub - 1) & remaining
@@ -658,7 +549,7 @@ def flats_by_closure(m):
     twin of Matroid.flats."""
     full = m.ground.full_mask
     bottom = m.closure_of(0)
-    seen = {bottom}
+    found = {bottom}
     frontier = [bottom]
     while frontier:
         nxt = []
@@ -667,11 +558,11 @@ def flats_by_closure(m):
             while rest:
                 g = m.closure_of(f | (rest & -rest))
                 rest &= ~g
-                if g not in seen:
-                    seen.add(g)
+                if g not in found:
+                    found.add(g)
                     nxt.append(g)
         frontier = nxt
-    return tuple(sorted(seen))
+    return tuple(sorted(found))
 
 
 def closure_by_rank(m, xmask):
@@ -800,19 +691,20 @@ def set_partitions_3(items):
 
 
 def count_searches(monkeypatch):
-    """Count engine runs and profile matroid builds from now on."""
+    """Count inclusion searches (rank3._walk runs) and profile matroid
+    builds from now on."""
     counts = Counter()
-    run, build = rank3._Engine.run, rank3.Rank3Profile.matroid
+    walk, build = rank3._walk, rank3.Rank3Profile.matroid
 
-    def counted_run(self, *args):
+    def counted_walk(*args):
         counts["runs"] += 1
-        return run(self, *args)
+        return walk(*args)
 
     def counted_build(self):
         counts["builds"] += 1
         return build(self)
 
-    monkeypatch.setattr(rank3._Engine, "run", counted_run)
+    monkeypatch.setattr(rank3, "_walk", counted_walk)
     monkeypatch.setattr(rank3.Rank3Profile, "matroid", counted_build)
     return counts
 
@@ -827,60 +719,4 @@ def count_beams(monkeypatch):
         return beam(lines)
 
     monkeypatch.setattr(census, "_beam", counted_beam)
-    return counts
-
-
-def count_engine_steps(monkeypatch):
-    """Count what the rank-3 engine does from now on, as a Counter:
-    - popped: states popped (each goes to _scan first);
-    - picks: _picks calls;
-    - disconnected_popped: popped states whose matroid is disconnected;
-    - tested: connectivity tests made while a run advances, late_tests:
-      those not made on the start state or on the state the last _child
-      call returned, that is, not made before the state was pushed."""
-    counts = Counter()
-    run, scan, picks, child = (rank3._Engine.run, rank3._Engine._scan,
-                               rank3._Engine._picks, rank3._Engine._child)
-    connected = rank3._connected
-    now = {"running": False, "child": None}
-
-    def counted_run(self, *args):
-        states = run(self, *args)
-        now["child"] = None
-        while True:
-            now["running"] = True
-            try:
-                state = next(states)
-            except StopIteration:
-                return
-            finally:
-                now["running"] = False
-            yield state
-
-    def counted_scan(self, classes, lines):
-        counts["popped"] += 1
-        if not connected(self.support, self.support, classes, lines):
-            counts["disconnected_popped"] += 1
-        return scan(self, classes, lines)
-
-    def counted_picks(self, *args):
-        counts["picks"] += 1
-        return picks(self, *args)
-
-    def counted_child(self, *args):
-        now["child"] = out = child(self, *args)
-        return out
-
-    def counted_connected(full, support, classes, lines):
-        if now["running"]:
-            counts["tested"] += 1
-            if now["child"] is not None and now["child"] != (classes, lines):
-                counts["late_tests"] += 1
-        return connected(full, support, classes, lines)
-
-    monkeypatch.setattr(rank3._Engine, "run", counted_run)
-    monkeypatch.setattr(rank3._Engine, "_scan", counted_scan)
-    monkeypatch.setattr(rank3._Engine, "_picks", counted_picks)
-    monkeypatch.setattr(rank3._Engine, "_child", counted_child)
-    monkeypatch.setattr(rank3, "_connected", counted_connected)
     return counts
