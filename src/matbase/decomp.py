@@ -22,7 +22,7 @@ from .setfam import LinearConstraint, bits, ksubsets, submasks
 from .matroid import _exchange_witness, matroid_from_bases
 from .facets import _facet_table, is_facet_inequality
 from .rank3 import (check_rank3_input, facet_graph_components,
-                    facet_rank2_flats, rank3_profile)
+                    facet_rank2_flats)
 from .order import enumerate_included_rank3, no_strict_intermediate_rank3
 
 
@@ -603,6 +603,5 @@ def classify(m, max_pieces=16):
     fams = [frozenset(p.bases) for p in pool]
     cover = next(p for p, f in zip(pool, fams) if not any(f < g for g in fams))
     if not no_strict_intermediate_rank3(cover, m):
-        raise AssertionError("the maximal included system %s is no cover"
-                             % rank3_profile(cover).show())
+        raise AssertionError("the least maximal included system is no cover")
     return MatroidClass("c", CLASS_LABELS["c"], cover)

@@ -568,8 +568,8 @@ def test_classify_searches_once(monkeypatch):
     assert counts["runs"] == 1 and counts["builds"] <= len(pool) + 1
 
 
-# the (c) witness of lucascon M1, as the first system the search found
-# gave it before the witness was the least maximal one
+# the (c) witness of lucascon M1, pinned so that it cannot move with the
+# order in which the search finds the systems
 LUCASCON_COVER = ("classes {a},{b},{c},{e},{d,f,g,h,i},{j},{k} lines "
                   "{b,c,e},{a,d,e,f,g,h,i},{a,c,j},{b,d,f,g,h,i,j},{a,b,k},"
                   "{e,j,k}")

@@ -445,7 +445,7 @@ def test_search_matches_partition_twin(n, idx):
 
 def test_required_original_facet_skips_the_engine(monkeypatch):
     # a required facet of m itself can be a facet of no included system,
-    # so nothing is returned and the engine never runs
+    # so nothing is returned and the search never runs
     m = get_example("seven_typed")["M"]
     g = m.ground
     counts = count_searches(monkeypatch)

@@ -189,7 +189,7 @@ def rank3_systems(n, loops):
     classes with its long lines as unions of classes, and the bitmask,
     over the 3-subsets of the ground in ksubsets order, of the dependent
     ones (meeting a loop, meeting a class twice, or inside a line).  No
-    engine is involved; the definitional twin of the rank-3 searches."""
+    search is involved; the definitional twin of the rank-3 searches."""
     full = (1 << n) - 1
     index = {t: k for k, t in enumerate(ksubsets(full, 3))}
 
